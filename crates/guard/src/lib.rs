@@ -58,7 +58,8 @@ pub mod metric_names {
     pub const LOCK_POISON_RECOVERIES: &str = "guard.lock.poison.recoveries.total";
 }
 
-/// Serializes tests that mutate the process-global obs/fault state.
+/// Serializes tests that mutate (or, by panicking inside `catch`, bump)
+/// the process-global obs/fault state.
 #[cfg(test)]
 pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -69,3 +69,16 @@ pub use proxy::{Router, RouterConfig, RouterHandle, RunningRouter};
 pub use ring::{HashRing, RouteKey, VNODES};
 pub use supervisor::{ChildProcess, Supervisor, SupervisorConfig};
 pub use upstream::{Fleet, Upstream, FLAP_THRESHOLD};
+
+/// Serializes tests that drain or readmit replicas: each such flip bumps
+/// the process-global `router.rehash_total` counter, which one test
+/// asserts exact deltas of.
+#[cfg(test)]
+pub(crate) mod test_lock {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    pub fn hold() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}

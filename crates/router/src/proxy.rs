@@ -1,13 +1,14 @@
 //! The router process: accept loop, per-connection proxying, fleet
 //! aggregation pages, and the prober thread.
 //!
-//! Each accepted connection gets a handler thread (the same shape as the
-//! serve tier's threaded mode) that keeps one upstream keep-alive
-//! connection per replica it has talked to, so the steady-state hop adds
-//! a hash + one pooled socket write, not a dial. Predict traffic routes
-//! by [`RouteKey`] over the fleet's consistent-hash ring; everything
-//! else is either answered locally (aggregated `/healthz`, `/metrics`)
-//! or forwarded to any live replica.
+//! Each accepted connection gets a handler thread — the repo's only
+//! thread-per-connection loop; the serve tier runs an epoll reactor —
+//! that keeps one upstream keep-alive connection per replica it has
+//! talked to, so the steady-state hop adds a hash + one pooled socket
+//! write, not a dial. Predict traffic routes by [`RouteKey`] over the
+//! fleet's consistent-hash ring; everything else is either answered
+//! locally (aggregated `/healthz`, `/metrics`) or forwarded to any live
+//! replica.
 
 use crate::gossip;
 use crate::hedge::{HedgeConfig, Hedger};

@@ -4,12 +4,12 @@
 //! concurrent predict requests collapse into one MLP dispatch per
 //! `(GPU, op family)` instead of one per request.
 
+use crate::http::Response;
 use crate::queue::BoundedQueue;
 use crate::service::{PredictRequest, PredictService, ServeError};
 use neusight_guard as guard;
 use neusight_obs as obs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -17,12 +17,20 @@ use std::time::{Duration, Instant};
 /// render.
 pub type ReplyResult = Result<Arc<str>, ServeError>;
 
-/// A mailbox for dispatcher completions destined for an event loop: the
-/// dispatcher pushes `(connection token, result, trace)` triples and
+/// What a completion carries back to the event loop.
+pub enum Done {
+    /// A dispatcher predict result.
+    Predict(ReplyResult),
+    /// A finished response (an admin reload's gate decision).
+    Response(Response),
+}
+
+/// A mailbox for completions destined for the event loop: the dispatcher
+/// (or a reload thread) pushes `(ticket, result, trace)` triples and
 /// fires the wake callback (the reactor's wakeup fd), and the event loop
 /// drains the batch on its next turn.
 pub struct Completions {
-    results: Mutex<Vec<(u64, ReplyResult, obs::TraceContext)>>,
+    results: Mutex<Vec<(u64, Done, obs::TraceContext)>>,
     wake: Box<dyn Fn() + Send + Sync>,
 }
 
@@ -37,44 +45,34 @@ impl Completions {
     }
 
     /// Delivers one completion and wakes the consumer.
-    pub fn push(&self, token: u64, result: ReplyResult, trace: obs::TraceContext) {
-        guard::recover_poison(self.results.lock()).push((token, result, trace));
+    pub fn push(&self, ticket: u64, done: Done, trace: obs::TraceContext) {
+        guard::recover_poison(self.results.lock()).push((ticket, done, trace));
         (self.wake)();
     }
 
     /// Takes everything delivered so far.
     #[must_use]
-    pub fn drain(&self) -> Vec<(u64, ReplyResult, obs::TraceContext)> {
+    pub fn drain(&self) -> Vec<(u64, Done, obs::TraceContext)> {
         std::mem::take(&mut *guard::recover_poison(self.results.lock()))
     }
 }
 
-/// Where a finished job's result goes: a blocking per-request channel
-/// (thread-per-connection handlers) or a completion mailbox keyed by
-/// connection token (the reactor's event loop).
-pub enum Reply {
-    /// One-shot reply channel back to a connection-handler thread.
-    Channel(SyncSender<(ReplyResult, obs::TraceContext)>),
-    /// Completion mailbox entry for the event loop.
-    Completion {
-        /// The reactor's generation-tagged connection token.
-        token: u64,
-        /// The event loop's mailbox.
-        completions: Arc<Completions>,
-    },
+/// Where a finished job's result goes: an entry in the event loop's
+/// completion mailbox, keyed by the request's ticket.
+pub struct Reply {
+    /// The reactor's per-request ticket.
+    pub ticket: u64,
+    /// The event loop's mailbox.
+    pub completions: Arc<Completions>,
 }
 
 impl Reply {
-    /// Delivers the result along with the stage-stamped trace. A dead
-    /// receiver (handler gave up, connection closed) is not an error: the
-    /// prediction is memoized either way.
-    pub fn send(self, result: ReplyResult, trace: obs::TraceContext) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send((result, trace));
-            }
-            Reply::Completion { token, completions } => completions.push(token, result, trace),
-        }
+    /// Delivers the result along with the stage-stamped trace. A ticket
+    /// the event loop no longer waits for (deadline fired, connection
+    /// closed) is not an error: it is dropped there, and the prediction
+    /// is memoized either way.
+    pub fn send(self, done: Done, trace: obs::TraceContext) {
+        self.completions.push(self.ticket, done, trace);
     }
 }
 
@@ -97,10 +95,6 @@ pub struct Job {
 pub struct DispatchConfig {
     /// Most requests coalesced into one service call.
     pub max_batch: usize,
-    /// Optional wait after the first job of a batch, letting concurrent
-    /// requests pile in before dispatch (0 = serve immediately; queueing
-    /// during the previous batch provides natural coalescing).
-    pub batch_window: Duration,
     /// Test/bench hook: artificial service time per batch, for driving
     /// the queue into overload deterministically.
     pub service_delay: Duration,
@@ -152,9 +146,6 @@ pub fn run(
             }
             continue;
         };
-        if !config.batch_window.is_zero() {
-            std::thread::sleep(config.batch_window);
-        }
         let mut jobs = vec![first];
         jobs.extend(queue.drain_up_to(config.max_batch.saturating_sub(1)));
         serve_batch(service, config, &metrics, jobs, sojourn_ms);
@@ -195,10 +186,10 @@ fn serve_batch(
             metrics.timeouts.inc();
             let Job { reply, trace, .. } = job;
             reply.send(
-                Err(ServeError {
+                Done::Predict(Err(ServeError {
                     status: 504,
                     message: "deadline exceeded while queued".to_owned(),
-                }),
+                })),
                 trace,
             );
         } else {
@@ -232,12 +223,9 @@ fn serve_batch(
     match attempt {
         Ok(results) => {
             for (mut job, result) in live.into_iter().zip(results) {
-                // A dead receiver means the handler gave up (client
-                // timeout); the prediction is already memoized, so the
-                // work is not wasted.
                 job.trace.stamp(obs::Stage::Predict);
                 let Job { reply, trace, .. } = job;
-                reply.send(result, trace);
+                reply.send(Done::Predict(result), trace);
             }
         }
         Err(_) => {
@@ -262,7 +250,7 @@ fn serve_batch(
                 });
                 job.trace.stamp(obs::Stage::Predict);
                 let Job { reply, trace, .. } = job;
-                reply.send(result, trace);
+                reply.send(Done::Predict(result), trace);
             }
         }
     }

@@ -1,6 +1,7 @@
-//! A minimal, allocation-light HTTP/1.1 codec over blocking `TcpStream`s:
-//! request parsing with bounded head/body sizes, and response writing with
-//! explicit `Content-Length` and keep-alive control.
+//! A minimal, allocation-light HTTP/1.1 codec: an in-place head parser
+//! with bounded head/body sizes (the serve reactor's), a blocking request
+//! reader over `TcpStream`s (the router proxy's), and response rendering
+//! with explicit `Content-Length` and keep-alive control.
 //!
 //! Only the slice of HTTP/1.1 the prediction service needs is implemented:
 //! `GET`/`POST`, `Content-Length` bodies (no chunked transfer), and the
@@ -142,8 +143,8 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// connection's read buffer, so parsing a well-formed request allocates
 /// nothing. Routing only ever consults the method, path,
 /// `Content-Length`, and `Connection` disposition, so no header vector is
-/// materialized; the threaded path still builds a [`Request`] (allocating)
-/// from this view for compatibility.
+/// materialized; the router's blocking reader ([`read_request`]) still
+/// builds a [`Request`] (allocating) from this view.
 #[derive(Debug, Clone, Copy)]
 pub struct HeadView<'a> {
     /// Method exactly as sent (match with [`HeadView::method_is`]).
@@ -188,9 +189,9 @@ pub enum HeadParse<'a> {
 
 /// Parses an HTTP/1.1 request head in place from the front of `buf`.
 ///
-/// Shared by the threaded reader and the reactor's per-connection state
-/// machine, so both paths reject malformed input with byte-identical
-/// status/message pairs. Error precedence (431 before anything, then 400
+/// Shared by the blocking reader ([`read_request`], used by the router's
+/// proxy) and the serve reactor's per-connection state machine, so both
+/// reject malformed input with byte-identical status/message pairs. Error precedence (431 before anything, then 400
 /// UTF-8, 400 request line, 505 version, 400 header line, 400
 /// Content-Length, 413 body bound) matches the original reader exactly.
 #[must_use]

@@ -1,6 +1,6 @@
 //! A bounded MPMC queue with condvar wakeups: the admission-control point
-//! between connection handlers (producers) and the micro-batching
-//! dispatcher (consumer).
+//! between the reactor (producer) and the micro-batching dispatcher
+//! (consumer).
 //!
 //! `try_push` never blocks — a full queue is an *admission decision* (the
 //! caller turns it into `429 Too Many Requests`), not back-pressure that
@@ -95,7 +95,7 @@ impl<T> BoundedQueue<T> {
         // A producer that panicked mid-push poisons the mutex; the queue
         // state itself is still consistent (push_back/pop_front are not
         // interruptible between invariant-breaking steps), so recover and
-        // count rather than cascading the panic to every other handler.
+        // count rather than cascading the panic to every other user.
         neusight_guard::recover_poison(self.inner.lock())
     }
 }

@@ -1,22 +1,17 @@
-//! The epoll event-loop server mode: one reactor thread multiplexing
-//! every connection, replacing thread-per-connection with readiness
-//! notification.
+//! The epoll event loop behind `neusight serve`: one reactor thread
+//! multiplexing every connection through readiness notification.
 //!
 //! # Connection state machine
 //!
 //! ```text
 //!            accept                EPOLLIN             route_common
-//!   listener ──────▶ Reading ─────────────▶ parse_head ────────────┐
-//!                      ▲                                           │
-//!                      │ keep-alive, write drained        Respond / Predict
-//!                      │                                           │
-//!                   Writing ◀── completion / 504 ── Dispatched ◀───┘
+//!   listener ──────▶ Reading ─────────────▶ parse_head ──────────────┐
+//!                      ▲                                             │
+//!                      │ keep-alive, write drained   Respond / Predict / Reload
+//!                      │                                             │
+//!                   Writing ◀── completion / 504 ── Dispatched ◀─────┘
 //!                   (EPOLLOUT)                       (interest ∅)
 //! ```
-//!
-//! Routing, admission, dispatch, and response rendering are the same code
-//! the threaded path uses ([`route_common`], [`admit`], the dispatcher),
-//! so the two modes produce byte-identical responses.
 //!
 //! Design notes:
 //!
@@ -26,10 +21,13 @@
 //! - **Interest follows state**: `Reading` wants `EPOLLIN`, `Dispatched`
 //!   wants nothing (a level-triggered fd with a buffered request would
 //!   spin otherwise), `Writing` wants `EPOLLOUT`.
-//! - **Dispatcher completions** arrive through a [`Completions`] mailbox
-//!   keyed by a per-request ticket; the dispatcher signals an eventfd the
-//!   loop watches. A request that already got its 504 has its ticket
-//!   removed, so the late completion is dropped on the floor.
+//! - **Completions** arrive through a [`Completions`] mailbox keyed by a
+//!   per-request ticket; the dispatcher (or a reload thread) signals an
+//!   eventfd the loop watches. A request that already got its 504 has its
+//!   ticket removed, so the late completion is dropped on the floor.
+//! - **Reloads never run on the loop**: `POST /v1/admin/reload` parks its
+//!   connection in `Dispatched` while the gate runs on its own thread
+//!   ([`spawn_reload`]), so other connections keep being served.
 //! - **Buffers are per-connection and reused** across keep-alive
 //!   requests: the read buffer accumulates raw bytes that
 //!   [`http::parse_head`] borrows in place, and responses render into the
@@ -37,10 +35,11 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::dispatch::{Completions, Reply};
+use crate::dispatch::{Completions, Done, Reply};
 use crate::http::{self, HeadParse, Response};
 use crate::server::{
-    admit, maybe_dump_on_signal, reject_connection, route_common, RouteOutcome, Shared,
+    admit, maybe_dump_on_signal, maybe_reload_on_signal, reject_connection, route_common,
+    spawn_reload, RouteOutcome, Shared,
 };
 use crate::sys::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::timer::{Timer, TimerKind, TimerWheel, TICK};
@@ -75,7 +74,8 @@ pub(crate) fn run(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()
 enum ConnState {
     /// Accumulating request bytes.
     Reading,
-    /// A predict job is queued; the mailbox will complete `ticket`.
+    /// A predict job is queued (or a reload is running); the mailbox
+    /// will complete `ticket`.
     Dispatched {
         ticket: u64,
         started: Instant,
@@ -83,6 +83,9 @@ enum ConnState {
         /// Local copy of the request trace, used for the 504 path when
         /// the deadline beats the dispatcher's completion.
         trace: obs::TraceContext,
+        /// An admin reload rather than a predict: it has no deadline and
+        /// does not count as in flight.
+        reload: bool,
     },
     /// Flushing `write_buf` to the socket.
     Writing,
@@ -222,7 +225,7 @@ fn set_interest(epoll: &Epoll, conn: &mut Conn, token: u64, interest: u32) {
 }
 
 struct Reactor<'a> {
-    shared: &'a Shared,
+    shared: &'a Arc<Shared>,
     epoll: Epoll,
     slab: Slab,
     timers: TimerWheel,
@@ -285,7 +288,7 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
             return Ok(());
         }
         maybe_dump_on_signal();
-        crate::server::maybe_reload_on_signal(shared);
+        maybe_reload_on_signal(shared);
 
         events.clear();
         let wait_started = Instant::now();
@@ -480,12 +483,11 @@ impl Reactor<'_> {
             if !matches!(conn.state, ConnState::Reading) {
                 return;
             }
-            let (outcome, consumed, wants_close, deadline_ms, started, mut trace) =
+            let (outcome, consumed, wants_close, deadline_ms, started, trace) =
                 match http::parse_head(&conn.read_buf) {
                     HeadParse::Incomplete => return,
                     HeadParse::Malformed(message, status) => {
-                        // Same contract as the threaded reader: report the
-                        // error and close.
+                        // Report the error and close.
                         let response = Response::error(status, message);
                         conn.read_buf.clear();
                         conn.write_buf.clear();
@@ -522,54 +524,27 @@ impl Reactor<'_> {
             let keep_alive = !wants_close && !stop;
             match outcome {
                 RouteOutcome::Respond(response) => {
-                    trace.stamp(obs::Stage::Render);
-                    trace.set_status(response.status);
-                    self.shared
-                        .metrics
-                        .latency_ns
-                        .record_secs(started.elapsed().as_secs_f64());
-                    conn.write_buf.clear();
-                    conn.write_pos = 0;
-                    response.render_traced(&mut conn.write_buf, keep_alive, Some(&trace));
-                    conn.close_after_write = !keep_alive;
-                    conn.state = ConnState::Writing;
-                    conn.trace = Some(trace);
-                    set_interest(&self.epoll, conn, token, EPOLLOUT);
-                    self.try_write(token);
-                    // If the write drained synchronously the state is
+                    // If the write drains synchronously the state is
                     // Reading again and the loop serves the next
                     // pipelined request; otherwise the next turn exits.
+                    self.respond(token, &response, trace, started, keep_alive);
                 }
                 RouteOutcome::Predict(parsed) => {
-                    // Same budget arithmetic as the threaded path: the
-                    // client's propagated X-Deadline-Ms caps the
+                    // The client's propagated X-Deadline-Ms caps the
                     // configured deadline, and an already-expired budget
                     // answers 504 without burning a dispatcher slot.
                     let budget = match crate::server::request_budget(self.shared, deadline_ms) {
                         Ok(budget) => budget,
                         Err(expired) => {
-                            trace.stamp(obs::Stage::Render);
-                            trace.set_status(expired.status);
-                            self.shared
-                                .metrics
-                                .latency_ns
-                                .record_secs(started.elapsed().as_secs_f64());
-                            conn.write_buf.clear();
-                            conn.write_pos = 0;
-                            expired.render_traced(&mut conn.write_buf, keep_alive, Some(&trace));
-                            conn.close_after_write = !keep_alive;
-                            conn.state = ConnState::Writing;
-                            conn.trace = Some(trace);
-                            set_interest(&self.epoll, conn, token, EPOLLOUT);
-                            self.try_write(token);
+                            self.respond(token, &expired, trace, started, keep_alive);
                             continue;
                         }
                     };
                     let ticket = self.next_ticket;
                     self.next_ticket += 1;
                     let deadline = Instant::now() + budget;
-                    let reply = Reply::Completion {
-                        token: ticket,
+                    let reply = Reply {
+                        ticket,
                         completions: Arc::clone(&self.completions),
                     };
                     match admit(self.shared, parsed, deadline, reply, trace) {
@@ -579,14 +554,14 @@ impl Reactor<'_> {
                                 started,
                                 wants_close,
                                 trace,
+                                reload: false,
                             };
                             // No interest while waiting: a level-triggered
                             // fd with buffered pipelined bytes would spin.
                             set_interest(&self.epoll, conn, token, 0);
                             self.pending.insert(ticket, token);
-                            // Same margin as the threaded path's blocking
-                            // wait: the dispatcher's own 504 gets 250 ms
-                            // to arrive before the reactor times out.
+                            // The dispatcher's own 504 gets 250 ms to
+                            // arrive before the reactor times out.
                             self.timers.schedule(Timer {
                                 deadline: deadline + Duration::from_millis(250),
                                 token,
@@ -596,25 +571,62 @@ impl Reactor<'_> {
                             return;
                         }
                         Err(rejection) => {
-                            trace.stamp(obs::Stage::Render);
-                            trace.set_status(rejection.status);
-                            self.shared
-                                .metrics
-                                .latency_ns
-                                .record_secs(started.elapsed().as_secs_f64());
-                            conn.write_buf.clear();
-                            conn.write_pos = 0;
-                            rejection.render_traced(&mut conn.write_buf, keep_alive, Some(&trace));
-                            conn.close_after_write = !keep_alive;
-                            conn.state = ConnState::Writing;
-                            conn.trace = Some(trace);
-                            set_interest(&self.epoll, conn, token, EPOLLOUT);
-                            self.try_write(token);
+                            self.respond(token, &rejection, trace, started, keep_alive);
                         }
                     }
                 }
+                RouteOutcome::Reload(request) => {
+                    let ticket = self.next_ticket;
+                    self.next_ticket += 1;
+                    conn.state = ConnState::Dispatched {
+                        ticket,
+                        started,
+                        wants_close,
+                        trace,
+                        reload: true,
+                    };
+                    set_interest(&self.epoll, conn, token, 0);
+                    self.pending.insert(ticket, token);
+                    let reply = Reply {
+                        ticket,
+                        completions: Arc::clone(&self.completions),
+                    };
+                    spawn_reload(self.shared, request, move |response| {
+                        reply.send(Done::Response(response), trace);
+                    });
+                    return;
+                }
             }
         }
+    }
+
+    /// Renders `response` into the connection's write buffer, records the
+    /// request's latency and trace status, and starts writing it.
+    fn respond(
+        &mut self,
+        token: u64,
+        response: &Response,
+        mut trace: obs::TraceContext,
+        started: Instant,
+        keep_alive: bool,
+    ) {
+        trace.stamp(obs::Stage::Render);
+        trace.set_status(response.status);
+        self.shared
+            .metrics
+            .latency_ns
+            .record_secs(started.elapsed().as_secs_f64());
+        let Some(conn) = self.slab.get_mut(token) else {
+            return;
+        };
+        conn.write_buf.clear();
+        conn.write_pos = 0;
+        response.render_traced(&mut conn.write_buf, keep_alive, Some(&trace));
+        conn.close_after_write = !keep_alive;
+        conn.state = ConnState::Writing;
+        conn.trace = Some(trace);
+        set_interest(&self.epoll, conn, token, EPOLLOUT);
+        self.try_write(token);
     }
 
     /// Flushes as much of the write buffer as the socket accepts, then
@@ -658,17 +670,19 @@ impl Reactor<'_> {
         }
     }
 
-    /// Drains the dispatcher's mailbox, rendering each completion into
-    /// its connection's write buffer. Stale tickets (connection closed,
+    /// Drains the completion mailbox, rendering each completion into its
+    /// connection's write buffer. Stale tickets (connection closed,
     /// deadline already fired) are dropped.
     fn deliver_completions(&mut self) {
-        for (ticket, result, mut trace) in self.completions.drain() {
+        for (ticket, done, trace) in self.completions.drain() {
             let Some(token) = self.pending.remove(&ticket) else {
                 continue;
             };
-            // The admitted request has left the dispatcher: it is no
-            // longer in flight even if its connection is already gone.
-            self.shared.inflight_sub();
+            if matches!(done, Done::Predict(_)) {
+                // The admitted request has left the dispatcher: it is no
+                // longer in flight even if its connection is already gone.
+                self.shared.inflight_sub();
+            }
             let stop = self.shared.stop_requested();
             let Some(conn) = self.slab.get_mut(token) else {
                 continue;
@@ -685,25 +699,13 @@ impl Reactor<'_> {
             if current != ticket {
                 continue;
             }
-            let response = match result {
-                Ok(body) => crate::server::predict_response(self.shared, &body),
-                Err(e) => Response::error(e.status, &e.message),
-            };
-            trace.stamp(obs::Stage::Render);
-            trace.set_status(response.status);
-            self.shared
-                .metrics
-                .latency_ns
-                .record_secs(started.elapsed().as_secs_f64());
             let keep_alive = !wants_close && !stop && !conn.close_after_write;
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-            response.render_traced(&mut conn.write_buf, keep_alive, Some(&trace));
-            conn.close_after_write = !keep_alive;
-            conn.state = ConnState::Writing;
-            conn.trace = Some(trace);
-            set_interest(&self.epoll, conn, token, EPOLLOUT);
-            self.try_write(token);
+            let response = match done {
+                Done::Predict(Ok(body)) => crate::server::predict_response(self.shared, &body),
+                Done::Predict(Err(e)) => Response::error(e.status, &e.message),
+                Done::Response(response) => response,
+            };
+            self.respond(token, &response, trace, started, keep_alive);
             self.process_requests(token);
         }
     }
@@ -725,11 +727,9 @@ impl Reactor<'_> {
                 IdleAction::Rearm(conn.last_activity + idle_timeout)
             } else if matches!(conn.state, ConnState::Reading) {
                 match http::parse_head(&conn.read_buf) {
-                    // Idle between requests or mid-head: silent close,
-                    // like the threaded reader's IdleTimeout.
+                    // Idle between requests or mid-head: silent close.
                     HeadParse::Incomplete => IdleAction::CloseSilently,
-                    // Head arrived but the body stalled: 408, like the
-                    // threaded reader's body-timeout path.
+                    // Head arrived but the body stalled: 408.
                     HeadParse::Complete(_) => IdleAction::RespondTimeout,
                     // Malformed input is handled on the read path; if it
                     // is still buffered here the connection is wedged.
@@ -780,6 +780,7 @@ impl Reactor<'_> {
             started,
             wants_close,
             trace,
+            ..
         } = conn.state
         else {
             return;
@@ -788,30 +789,16 @@ impl Reactor<'_> {
             return;
         }
         self.shared.metrics.timeouts.inc();
-        self.shared
-            .metrics
-            .latency_ns
-            .record_secs(started.elapsed().as_secs_f64());
+        let keep_alive = !wants_close && !stop && !conn.close_after_write;
         // The dispatcher still owns the job's trace copy; the reactor's
         // own copy (taken at admit time) records the timeout.
-        let mut trace = trace;
-        trace.stamp(obs::Stage::Render);
-        trace.set_status(504);
         let response = Response::error(504, "deadline exceeded");
-        let keep_alive = !wants_close && !stop && !conn.close_after_write;
-        conn.write_buf.clear();
-        conn.write_pos = 0;
-        response.render_traced(&mut conn.write_buf, keep_alive, Some(&trace));
-        conn.close_after_write = !keep_alive;
-        conn.state = ConnState::Writing;
-        conn.trace = Some(trace);
-        set_interest(&self.epoll, conn, token, EPOLLOUT);
-        self.try_write(token);
+        self.respond(token, &response, trace, started, keep_alive);
         self.process_requests(token);
     }
 
-    /// Best-effort JSON 500 after a panicked per-connection handler,
-    /// mirroring the threaded path's fallback write, then close.
+    /// Best-effort JSON 500 after a panicked per-connection handler, then
+    /// close.
     fn fail_connection(&mut self, token: u64) {
         if let Some(conn) = self.slab.get_mut(token) {
             let mut buf = Vec::new();
@@ -826,10 +813,10 @@ impl Reactor<'_> {
             return;
         };
         self.epoll.delete(conn.stream.as_raw_fd());
-        if let ConnState::Dispatched { ticket, .. } = conn.state {
+        if let ConnState::Dispatched { ticket, reload, .. } = conn.state {
             // Orphan the in-flight job: its completion (the prediction is
             // memoized regardless) and deadline timer both become no-ops.
-            if self.pending.remove(&ticket).is_some() {
+            if self.pending.remove(&ticket).is_some() && !reload {
                 self.shared.inflight_sub();
             }
         }
@@ -851,8 +838,8 @@ impl Reactor<'_> {
                     continue;
                 };
                 match conn.state {
-                    // Same as the threaded reader returning Draining:
-                    // waiting connections close immediately.
+                    // Connections waiting between requests close
+                    // immediately.
                     ConnState::Reading => true,
                     _ => {
                         conn.close_after_write = true;

@@ -1,25 +1,31 @@
-//! The HTTP server: accept loop, connection handlers, routing, and the
-//! graceful-drain state machine.
+//! The HTTP server: configuration, shared state, routing, and the
+//! graceful-drain state machine. The connection engine underneath is the
+//! epoll reactor (`crate::reactor`).
 //!
 //! # Request lifecycle
 //!
-//! 1. The acceptor hands each connection to its own handler thread
-//!    (bounded by `workers`; beyond that, connections get an immediate
-//!    503 and close).
-//! 2. The handler reads HTTP/1.1 requests in a keep-alive loop. An idle
-//!    reaper closes connections that stay silent past `idle_timeout`.
+//! 1. The reactor thread accepts every connection and multiplexes them
+//!    (at most `workers` at once; beyond that, connections get an
+//!    immediate 503 and close).
+//! 2. It parses HTTP/1.1 requests in a keep-alive loop. An idle timer
+//!    closes connections that stay silent past `idle_timeout`.
 //! 3. `POST /v1/predict` bodies are parsed and **admitted** to a bounded
 //!    queue — a full queue answers `429 Too Many Requests` with
 //!    `Retry-After` instead of stalling the socket.
 //! 4. The single dispatcher thread drains the queue in micro-batches and
 //!    serves each batch with one [`PredictService::predict_batch`] call;
-//!    jobs that outlived their deadline in the queue get `504`.
-//! 5. On SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) the server stops
+//!    jobs that outlived their deadline in the queue get `504`. Results
+//!    come back to the reactor through its completion mailbox.
+//! 5. `POST /v1/admin/reload` (and SIGHUP) run the reload gate on a
+//!    short-lived thread of their own, so the event loop never blocks on
+//!    it.
+//! 6. On SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) the server stops
 //!    accepting, lets in-flight requests finish, drains the queue, and
-//!    only then joins its threads and returns.
+//!    only then joins the dispatcher and returns.
 
 use crate::dispatch::{self, DispatchConfig, Job};
-use crate::http::{self, ReadOutcome, Request, Response};
+use crate::http::{self, Response};
+use crate::lifecycle::ReloadRequest;
 use crate::queue::{BoundedQueue, QueueFull};
 use crate::service::{PredictRequest, PredictService};
 use crate::signal;
@@ -29,7 +35,7 @@ use neusight_obs as obs;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -38,7 +44,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Maximum concurrent connection-handler threads.
+    /// Maximum concurrent connections; beyond it, new connections get an
+    /// immediate 503.
     pub workers: usize,
     /// Admission-queue bound; beyond it, predicts get 429.
     pub queue_depth: usize,
@@ -46,9 +53,6 @@ pub struct ServeConfig {
     pub deadline: Duration,
     /// Most predict requests coalesced into one dispatch.
     pub max_batch: usize,
-    /// Optional dispatcher wait for batch formation (default 0: batches
-    /// form naturally from what queues during the previous dispatch).
-    pub batch_window: Duration,
     /// Keep-alive connections idle past this are reaped.
     pub idle_timeout: Duration,
     /// Test/bench hook: artificial service time per batch.
@@ -59,12 +63,6 @@ pub struct ServeConfig {
     /// Predictor circuit-breaker tuning (trip threshold, cooldown,
     /// half-open probes).
     pub breaker: neusight_fault::BreakerConfig,
-    /// Serve with the epoll event loop (one reactor thread multiplexing
-    /// every connection) instead of a thread per connection. Linux only;
-    /// `workers` then bounds concurrent *connections* rather than
-    /// threads. Routing, dispatch, and responses are byte-identical
-    /// across both modes.
-    pub reactor: bool,
     /// Registry version tag of the initial model (`None` for bare
     /// weights loaded outside the registry).
     pub model_version: Option<String>,
@@ -85,12 +83,10 @@ impl Default for ServeConfig {
             queue_depth: 256,
             deadline: Duration::from_millis(1000),
             max_batch: 64,
-            batch_window: Duration::ZERO,
             idle_timeout: Duration::from_secs(5),
             service_delay: Duration::ZERO,
             handle_signals: false,
             breaker: neusight_fault::BreakerConfig::default(),
-            reactor: false,
             model_version: None,
             models_dir: None,
             lifecycle: crate::lifecycle::LifecycleConfig::default(),
@@ -123,14 +119,14 @@ impl HttpMetrics {
     }
 }
 
-/// State shared by the acceptor, handlers (or reactor), and dispatcher.
+/// State shared by the reactor, the dispatcher, and reload threads.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) service: PredictService,
     pub(crate) queue: BoundedQueue<Job>,
     /// Stop admitting new work; in-flight requests still complete.
     pub(crate) draining: AtomicBool,
-    /// Terminates the dispatcher once handlers have exited.
+    /// Terminates the dispatcher once the reactor has exited.
     pub(crate) dispatcher_stop: AtomicBool,
     pub(crate) active_connections: AtomicUsize,
     /// Predict jobs admitted to the queue and not yet answered.
@@ -250,14 +246,14 @@ impl Server {
         &self.shared.service
     }
 
-    /// Runs the accept loop (thread-per-connection or reactor, per
-    /// [`ServeConfig::reactor`]) until shutdown, then drains and joins
-    /// every thread. Returns only after the drain completes.
+    /// Runs the event loop until shutdown, then drains and joins the
+    /// dispatcher. Returns only after the drain completes.
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures; `reactor: true` on a
-    /// non-Linux platform reports [`io::ErrorKind::Unsupported`].
+    /// Propagates listener configuration failures; on a non-Linux
+    /// platform reports [`io::ErrorKind::Unsupported`] (the reactor is
+    /// built on epoll).
     pub fn run(self) -> io::Result<()> {
         let Server {
             listener, shared, ..
@@ -272,7 +268,6 @@ impl Server {
             thread::spawn(move || {
                 let config = DispatchConfig {
                     max_batch: shared.config.max_batch.max(1),
-                    batch_window: shared.config.batch_window,
                     service_delay: shared.config.service_delay,
                 };
                 // The dispatcher is the server's single point of failure:
@@ -293,13 +288,9 @@ impl Server {
             })
         };
 
-        let result = if shared.config.reactor {
-            run_reactor(&shared, &listener)
-        } else {
-            run_threaded(&shared, &listener)
-        };
+        let result = run_reactor(&shared, &listener);
 
-        // Both modes return with their connections finished; the
+        // The reactor returns with its connections finished; the
         // dispatcher then drains whatever is still queued and stops.
         shared.draining.store(true, Ordering::SeqCst);
         shared.dispatcher_stop.store(true, Ordering::SeqCst);
@@ -361,58 +352,7 @@ impl RunningServer {
     }
 }
 
-/// The thread-per-connection accept loop: one handler thread per
-/// connection, bounded by `workers`. Returns after a requested drain has
-/// joined every handler.
-fn run_threaded(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop_requested() {
-        maybe_dump_on_signal();
-        maybe_reload_on_signal(shared);
-        // Reap finished connection threads so the vec stays bounded.
-        handlers.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let active = shared.active_connections.load(Ordering::SeqCst);
-                if active >= shared.config.workers {
-                    reject_connection(stream);
-                    continue;
-                }
-                shared.active_connections.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
-                handlers.push(thread::spawn(move || {
-                    // Keep a handle to the socket so a panicking
-                    // handler can still answer with a JSON 500
-                    // instead of silently dropping the connection.
-                    let fallback = stream.try_clone().ok();
-                    if guard::catch("serve.connection", || handle_connection(&shared, stream))
-                        .is_err()
-                    {
-                        if let Some(mut stream) = fallback {
-                            let _ = Response::error(500, "connection handler panicked")
-                                .write_to(&mut stream, false);
-                        }
-                    }
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Graceful drain: no new connections; handlers finish their current
-    // request (the dispatcher is still alive to serve queued jobs).
-    shared.draining.store(true, Ordering::SeqCst);
-    for handler in handlers {
-        let _ = handler.join();
-    }
-    Ok(())
-}
-
-/// The epoll event-loop mode: a single reactor thread multiplexing every
+/// The epoll event loop: a single reactor thread multiplexing every
 /// connection. Returns after a requested drain has closed them all.
 #[cfg(target_os = "linux")]
 fn run_reactor(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
@@ -423,12 +363,12 @@ fn run_reactor(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
 fn run_reactor(_shared: &Arc<Shared>, _listener: &TcpListener) -> io::Result<()> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
-        "the reactor server mode requires Linux epoll",
+        "neusight serve requires Linux epoll",
     ))
 }
 
 /// Dumps the flight recorder to [`obs::trace::dump_path`] if SIGUSR1
-/// arrived since the last poll. Called from both accept/event loops.
+/// arrived since the last poll. Called every event-loop turn.
 pub(crate) fn maybe_dump_on_signal() {
     if !signal::take_usr1() {
         return;
@@ -444,21 +384,41 @@ pub(crate) fn maybe_dump_on_signal() {
 }
 
 /// Stages a reload of the latest registry version if SIGHUP arrived
-/// since the last poll. Called from both accept/event loops; the gate
-/// itself (golden sanity + canary) is a few milliseconds of CPU, cheap
-/// enough for the accept loop.
-pub(crate) fn maybe_reload_on_signal(shared: &Shared) {
+/// since the last poll. Called every event-loop turn; the gate runs on a
+/// reload thread (see [`spawn_reload`]) and logs its decision.
+pub(crate) fn maybe_reload_on_signal(shared: &Arc<Shared>) {
     if !signal::take_hup() {
         return;
     }
-    let outcome = shared.service.reload(
-        shared.config.models_dir.as_deref(),
-        &crate::lifecycle::ReloadRequest::default(),
-    );
-    eprintln!(
-        "neusight-serve: SIGHUP reload -> {} {}",
-        outcome.status, outcome.body
-    );
+    spawn_reload(shared, ReloadRequest::default(), |response| {
+        eprintln!(
+            "neusight-serve: SIGHUP reload -> {} {}",
+            response.status,
+            String::from_utf8_lossy(&response.body)
+        );
+    });
+}
+
+/// Runs the reload gate (registry load, golden sanity, two golden-MAPE
+/// passes — a few hundred milliseconds on a standard predictor) on a
+/// short-lived thread of its own, so the event loop never blocks on it.
+/// `done` receives the gate's decision, or a JSON 500 if it panicked.
+pub(crate) fn spawn_reload(
+    shared: &Arc<Shared>,
+    request: ReloadRequest,
+    done: impl FnOnce(Response) + Send + 'static,
+) {
+    let shared = Arc::clone(shared);
+    thread::spawn(move || {
+        let response = guard::catch("serve.reload", || {
+            let outcome = shared
+                .service
+                .reload(shared.config.models_dir.as_deref(), &request);
+            Response::json(outcome.status, outcome.body)
+        })
+        .unwrap_or_else(|_| Response::error(500, "reload panicked"));
+        done(response);
+    });
 }
 
 /// 503s a connection accepted beyond the worker cap.
@@ -467,86 +427,21 @@ pub(crate) fn reject_connection(mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
-/// Decrements the active-connection count (and gauge) on scope exit.
-struct ConnGuard<'a>(&'a Shared);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        let left = self.0.active_connections.fetch_sub(1, Ordering::SeqCst) - 1;
-        #[allow(clippy::cast_precision_loss)]
-        self.0.metrics.connections.set(left as f64);
-    }
-}
-
-/// Serves one connection's keep-alive request loop.
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _guard = ConnGuard(shared);
-    #[allow(clippy::cast_precision_loss)]
-    shared
-        .metrics
-        .connections
-        .set(shared.active_connections.load(Ordering::SeqCst) as f64);
-    let _ = stream.set_nodelay(true);
-    // The read-timeout slice: how often an idle keep-alive read re-checks
-    // the drain flag and the idle clock.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    // Pipelined bytes beyond one request's declared body, handed to the
-    // next `read_request` call instead of being silently dropped.
-    let mut carry: Vec<u8> = Vec::new();
-    loop {
-        let outcome = http::read_request(
-            &mut stream,
-            shared.config.idle_timeout,
-            || shared.stop_requested(),
-            &mut carry,
-        );
-        match outcome {
-            Ok(ReadOutcome::Request(request)) => {
-                let started = Instant::now();
-                let mut trace = obs::TraceContext::start(request.header("x-request-id"));
-                let wants_close = request.wants_close();
-                let response = route(shared, &request, &mut trace);
-                trace.stamp(obs::Stage::Render);
-                trace.set_status(response.status);
-                shared
-                    .metrics
-                    .latency_ns
-                    .record_secs(started.elapsed().as_secs_f64());
-                let keep_alive = !wants_close && !shared.stop_requested();
-                let write_ok = response
-                    .write_to_traced(&mut stream, keep_alive, Some(&trace))
-                    .is_ok();
-                trace.stamp(obs::Stage::Write);
-                trace.finish();
-                if !write_ok || !keep_alive {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::Malformed(message, status)) => {
-                let _ = Response::error(status, message).write_to(&mut stream, false);
-                return;
-            }
-            Ok(ReadOutcome::Closed | ReadOutcome::IdleTimeout | ReadOutcome::Draining) | Err(_) => {
-                return
-            }
-        }
-    }
-}
-
-/// Outcome of the mode-agnostic routing step: either a ready response,
-/// or a parsed predict request that still needs queue admission (whose
-/// wait discipline differs between the threaded and reactor paths).
+/// Outcome of the routing step: a ready response, or work the reactor
+/// hands off and answers when its completion arrives.
 pub(crate) enum RouteOutcome {
     /// Answer immediately.
     Respond(Response),
     /// Admit to the dispatcher queue (via [`admit`]) and reply when the
     /// job completes.
     Predict(PredictRequest),
+    /// Run the reload gate on its own thread (via [`spawn_reload`]) and
+    /// reply with its decision.
+    Reload(ReloadRequest),
 }
 
-/// Maps a request to a handler — everything except the predict wait.
-/// Shared verbatim by both server modes, so routing behavior cannot
-/// diverge between them.
+/// Maps a request to a handler — everything except the predict and
+/// reload waits, which the reactor drives.
 pub(crate) fn route_common(shared: &Shared, method: &str, path: &str, body: &[u8]) -> RouteOutcome {
     use RouteOutcome::Respond;
     shared.metrics.requests.inc();
@@ -585,7 +480,10 @@ pub(crate) fn route_common(shared: &Shared, method: &str, path: &str, body: &[u8
             Err(e) => Response::error(e.status, &e.message),
         }),
         ("POST", "/v1/control/brownout") => Respond(brownout(shared, body)),
-        ("POST", "/v1/admin/reload") => Respond(reload(shared, body)),
+        ("POST", "/v1/admin/reload") => match parse_reload_body(body) {
+            Ok(parsed) => RouteOutcome::Reload(parsed),
+            Err(response) => Respond(response),
+        },
         ("GET", "/v1/admin/model") => {
             Respond(Response::json(200, shared.service.model_status_json()))
         }
@@ -626,25 +524,18 @@ fn brownout(shared: &Shared, body: &[u8]) -> Response {
     Response::json(200, format!("{{\"brownout\":{}}}", parsed.on))
 }
 
-/// `POST /v1/admin/reload`: stages a candidate model through the
-/// lifecycle gate (see [`crate::lifecycle`]). An empty body reloads the
-/// latest registry version with default settings.
-fn reload(shared: &Shared, body: &[u8]) -> Response {
-    let parsed = if body.iter().all(u8::is_ascii_whitespace) {
-        crate::lifecycle::ReloadRequest::default()
-    } else {
-        let Ok(body) = std::str::from_utf8(body) else {
-            return Response::error(400, "body is not UTF-8");
-        };
-        match serde_json::from_str(body) {
-            Ok(parsed) => parsed,
-            Err(e) => return Response::error(400, &format!("bad reload request: {e}")),
-        }
+/// Parses a `POST /v1/admin/reload` body: the candidate to stage
+/// through the lifecycle gate (see [`crate::lifecycle`]). An empty body
+/// reloads the latest registry version with default settings.
+fn parse_reload_body(body: &[u8]) -> Result<ReloadRequest, Response> {
+    if body.iter().all(u8::is_ascii_whitespace) {
+        return Ok(ReloadRequest::default());
+    }
+    let Ok(body) = std::str::from_utf8(body) else {
+        return Err(Response::error(400, "body is not UTF-8"));
     };
-    let outcome = shared
-        .service
-        .reload(shared.config.models_dir.as_deref(), &parsed);
-    Response::json(outcome.status, outcome.body)
+    serde_json::from_str(body)
+        .map_err(|e| Response::error(400, &format!("bad reload request: {e}")))
 }
 
 /// Parses and UTF-8-checks a predict body.
@@ -701,20 +592,6 @@ pub(crate) fn retry_after_secs(shared: &Shared) -> u64 {
     (sojourn_ms * 2).div_ceil(1000).clamp(1, 30)
 }
 
-/// Maps a request to a response on the threaded path (blocking predict
-/// wait).
-fn route(shared: &Shared, request: &Request, trace: &mut obs::TraceContext) -> Response {
-    match route_common(
-        shared,
-        request.method.as_str(),
-        request.path.as_str(),
-        &request.body,
-    ) {
-        RouteOutcome::Respond(response) => response,
-        RouteOutcome::Predict(parsed) => predict(shared, parsed, request.deadline_ms(), trace),
-    }
-}
-
 /// `GET /healthz`: liveness plus drain state, queue depth, and the
 /// predictor breaker's state (a breaker that is not `closed` means new
 /// predictions are served degraded).
@@ -768,15 +645,14 @@ fn metrics_page(shared: &Shared) -> Response {
 }
 
 /// Renders a successful predict body, stamping the `X-Model-Version`
-/// header (shared by both server modes so the header cannot diverge).
+/// header.
 pub(crate) fn predict_response(shared: &Shared, body: &str) -> Response {
     Response::json(200, body.to_string())
         .with_header("X-Model-Version", shared.service.model_version())
 }
 
 /// The request's enforced budget, or the immediate `504` for a request
-/// that arrived already out of budget (shared by both server modes so
-/// the expired-on-arrival contract is byte-identical).
+/// that arrived already out of budget.
 pub(crate) fn request_budget(
     shared: &Shared,
     deadline_ms: Option<u64>,
@@ -788,50 +664,4 @@ pub(crate) fn request_budget(
         return Err(Response::error(504, "deadline exceeded"));
     }
     Ok(Duration::from_millis(budget_ms))
-}
-
-/// `POST /v1/predict` on the threaded path: admit, then block this
-/// handler thread until the dispatcher replies.
-fn predict(
-    shared: &Shared,
-    parsed: PredictRequest,
-    deadline_ms: Option<u64>,
-    trace: &mut obs::TraceContext,
-) -> Response {
-    let budget = match request_budget(shared, deadline_ms) {
-        Ok(budget) => budget,
-        Err(expired) => return expired,
-    };
-    let (reply, receiver) = mpsc::sync_channel(1);
-    let deadline = Instant::now() + budget;
-    if let Err(rejection) = admit(
-        shared,
-        parsed,
-        deadline,
-        dispatch::Reply::Channel(reply),
-        *trace,
-    ) {
-        return rejection;
-    }
-    // Margin past the deadline covers the dispatcher's own 504 reply.
-    let wait = budget + Duration::from_millis(250);
-    match receiver.recv_timeout(wait) {
-        // The dispatcher replies with the serialized body and the trace
-        // it stamped through queue/batch-wait/predict.
-        Ok((result, done)) => {
-            shared.inflight_sub();
-            *trace = done;
-            match result {
-                Ok(body) => predict_response(shared, &body),
-                Err(e) => Response::error(e.status, &e.message),
-            }
-        }
-        Err(_) => {
-            // The local trace copy still renders and echoes; the
-            // dispatcher's stamps for this request are lost with it.
-            shared.inflight_sub();
-            shared.metrics.timeouts.inc();
-            Response::error(504, "deadline exceeded")
-        }
-    }
 }

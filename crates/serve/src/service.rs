@@ -253,8 +253,7 @@ pub const MAX_GOSSIP_ENTRIES: usize = 1024;
 pub const MAX_GOSSIP_BYTES: usize = 768 * 1024;
 
 /// The long-lived prediction service: one trained [`NeuSight`] plus a
-/// graph cache, shared by every connection handler through the
-/// dispatcher.
+/// graph cache, shared by every connection through the dispatcher.
 ///
 /// Amortization is the whole point of the server (the ROADMAP's
 /// "millions of users" shape): the predictor weights and tile database

@@ -177,7 +177,6 @@ fn http_request_path_survives_full_predictor_faults() {
 fn reactor_request_path_survives_predictor_and_reactor_faults() {
     let _guard = fault_lock();
     let config = ServeConfig {
-        reactor: true,
         ..ServeConfig::default()
     };
     let server = Server::spawn(config, trained()).expect("bind loopback");

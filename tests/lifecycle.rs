@@ -10,8 +10,9 @@
 //! identical weights, `model.stale_hits.total` stays zero); the shadow
 //! stage scores live traffic before promoting; the router rolls a
 //! 3-replica fleet one drained replica at a time and aborts the roll on
-//! the first rejection; and cache gossip refuses entries from a replica
-//! serving a different model version.
+//! the first rejection; cache gossip refuses entries from a replica
+//! serving a different model version; and a reload blocked on its
+//! candidate never stalls other connections.
 
 use neusight::core::{NeuSight, NeuSightConfig, Registry};
 use neusight::gpu::DType;
@@ -459,4 +460,65 @@ fn gossip_refuses_cache_entries_from_a_different_model_version() {
     for server in [donor, skewed, peer] {
         server.shutdown_and_join().expect("server drain");
     }
+}
+
+/// A reload runs off the event loop. The candidate here is a FIFO with
+/// no data yet, so the reload gate blocks reading it. While it blocks,
+/// other connections still get answers; once the artifact bytes arrive,
+/// the reload connection gets the gate's decision.
+#[test]
+fn a_blocked_reload_does_not_stall_other_connections() {
+    neusight::obs::set_enabled(true);
+    let (registry, dir) = seeded_registry("fifo");
+    let model = registry.load("v0001").expect("load").model;
+    let mape = neusight::serve::golden_mape(&model).expect("mape");
+    registry
+        .publish("v0005", Some("v0001"), Some(mape), &model)
+        .expect("publish v0005");
+    let artifact = std::fs::read(registry.path_of("v0005")).expect("read v0005");
+    let fifo = dir.join("candidate.fifo");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("run mkfifo");
+    assert!(made.success(), "mkfifo failed");
+
+    let server = spawn_versioned(&dir);
+    let addr = server.addr();
+    let body = format!(
+        r#"{{"path":{}}}"#,
+        neusight::serve::http::json_string(&fifo.display().to_string())
+    );
+    let reload = std::thread::spawn(move || {
+        let mut admin = Client::connect(addr).expect("connect admin");
+        admin.post_json("/v1/admin/reload", &body).expect("reload")
+    });
+
+    // Opening the write end blocks until the reload has opened the read
+    // end; holding it open without writing keeps the reload blocked.
+    let mut writer = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&fifo)
+        .expect("open fifo for writing");
+
+    let mut client = Client::connect(addr).expect("connect");
+    let health = client
+        .get("/healthz")
+        .expect("healthz during a blocked reload");
+    assert_eq!(health.status, 200, "{}", health.text());
+    let predict = client
+        .post_json("/v1/predict", BODIES[0])
+        .expect("predict during a blocked reload");
+    assert_eq!(predict.status, 200, "{}", predict.text());
+    assert_eq!(predict.header("x-model-version"), Some("v0001"));
+
+    std::io::Write::write_all(&mut writer, &artifact).expect("write artifact");
+    drop(writer);
+    let reply = reload.join().expect("reload thread");
+    let text = reply.text();
+    assert_eq!(reply.status, 200, "{text}");
+    assert!(text.contains("\"version\":\"v0005\""), "{text}");
+
+    server.shutdown_and_join().expect("server drain");
+    let _ = std::fs::remove_dir_all(&dir);
 }
