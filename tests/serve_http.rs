@@ -16,7 +16,9 @@
 use neusight::core::{NeuSight, NeuSightConfig};
 use neusight::gpu::{catalog, DType};
 use neusight::graph::{config, inference_graph, training_graph};
+use neusight::router::{Router, RouterConfig, RunningRouter};
 use neusight::serve::{Client, PredictResponse, ServeConfig, Server};
+use std::net::SocketAddr;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -35,6 +37,15 @@ fn training_data() -> &'static neusight::data::KernelDataset {
 
 fn tiny_neusight() -> NeuSight {
     NeuSight::train(training_data(), &NeuSightConfig::tiny()).expect("tiny training")
+}
+
+/// The router as a second front door: a one-replica fleet over `replica`.
+fn router_over(replica: SocketAddr, config: RouterConfig) -> RunningRouter {
+    Router::spawn(RouterConfig {
+        upstreams: vec![("replica-0".to_owned(), replica)],
+        ..config
+    })
+    .expect("spawn router")
 }
 
 #[test]
@@ -186,10 +197,24 @@ fn graceful_drain_finishes_in_flight_requests() {
         deadline: Duration::from_secs(5),
         ..ServeConfig::default()
     };
-    let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
-    let addr = server.addr();
+    let server = Server::spawn(config.clone(), tiny_neusight()).expect("spawn server");
     let handle = server.handle();
+    drain_finishes_in_flight_request(server.addr(), || handle.shutdown());
+    server.shutdown_and_join().expect("drained exit");
 
+    // The same contract through the router: a predict in flight to a slow
+    // replica still gets its 200 after the router starts draining.
+    let replica = Server::spawn(config, tiny_neusight()).expect("spawn replica");
+    let router = router_over(replica.addr(), RouterConfig::default());
+    let router_handle = router.handle();
+    drain_finishes_in_flight_request(router.addr(), || router_handle.shutdown());
+    router.shutdown_and_join().expect("router drained exit");
+    replica.shutdown_and_join().expect("replica drained exit");
+}
+
+/// Posts a predict that is still in flight when `shutdown` runs (every
+/// batch sleeps 300 ms) and asserts it is answered 200 anyway.
+fn drain_finishes_in_flight_request(addr: SocketAddr, shutdown: impl FnOnce()) {
     // Deterministic ordering without sleeps: the in-flight thread signals
     // once its connection is up, *then* posts. The main thread's own
     // request takes ≥ 300 ms to serve (every batch sleeps), which is the
@@ -210,7 +235,7 @@ fn graceful_drain_finishes_in_flight_requests() {
         .post_json("/v1/predict", r#"{"model":"bert","gpu":"T4"}"#)
         .expect("pacing request");
     assert_eq!(paced.status, 200);
-    handle.shutdown();
+    shutdown();
 
     let response = in_flight.join().expect("request thread");
     assert_eq!(
@@ -219,7 +244,6 @@ fn graceful_drain_finishes_in_flight_requests() {
         "drain must serve admitted work, got: {}",
         response.text()
     );
-    server.shutdown_and_join().expect("drained exit");
 }
 
 // ---------------------------------------------------------------------------
@@ -258,8 +282,25 @@ fn malformed_http_corpus_yields_clean_errors_never_hangs() {
         ..ServeConfig::default()
     };
     let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
-    let addr = server.addr();
+    malformed_corpus_yields_clean_errors(server.addr());
 
+    // The router is the other front door: the same corpus, with the same
+    // short idle window, must get the same answers from it.
+    let router = router_over(
+        server.addr(),
+        RouterConfig {
+            idle_timeout: Duration::from_millis(300),
+            ..RouterConfig::default()
+        },
+    );
+    malformed_corpus_yields_clean_errors(router.addr());
+    router.shutdown_and_join().expect("router drain");
+    server.shutdown_and_join().expect("clean drain");
+}
+
+/// Sends the whole malformed-HTTP corpus to `addr`, then checks the front
+/// door still answers.
+fn malformed_corpus_yields_clean_errors(addr: SocketAddr) {
     let oversize_head = {
         let mut head = b"GET /healthz HTTP/1.1\r\n".to_vec();
         // 17 KiB of one header blows the 16 KiB head cap.
@@ -343,7 +384,6 @@ fn malformed_http_corpus_yields_clean_errors_never_hangs() {
     let mut client = Client::connect(addr).expect("connect after corpus");
     let health = client.get("/healthz").expect("healthz");
     assert_eq!(health.status, 200);
-    server.shutdown_and_join().expect("clean drain");
 }
 
 #[test]
