@@ -1,14 +1,16 @@
-//! The router process: accept loop, per-connection proxying, fleet
-//! aggregation pages, and the prober thread.
+//! The router process: its routes, fleet aggregation pages, and the
+//! prober thread.
 //!
-//! Each accepted connection gets a handler thread — the repo's only
-//! thread-per-connection loop; the serve tier runs an epoll reactor —
-//! that keeps one upstream keep-alive connection per replica it has
-//! talked to, so the steady-state hop adds a hash + one pooled socket
-//! write, not a dial. Predict traffic routes by [`RouteKey`] over the
-//! fleet's consistent-hash ring; everything else is either answered
-//! locally (aggregated `/healthz`, `/metrics`) or forwarded to any live
-//! replica.
+//! Downstream connections run on serve's connection engine
+//! ([`neusight_serve::engine`], Linux-only): the router is an
+//! [`App`] whose local routes (`/healthz`, 404/405) answer on the event
+//! loop, and whose routes that talk to a replica — predict, rolling
+//! reload, the `/metrics` fan-out, `/v1/models`, `/v1/admin/model` — are
+//! offloaded to a short-lived thread each. There the exchange is a
+//! blocking one over a pooled keep-alive [`Client`] taken from the
+//! replica's own pool (see [`Upstream::checkout`]), so the steady-state
+//! hop adds a hash + one pooled socket write, not a dial. Predict traffic
+//! routes by [`RouteKey`] over the fleet's consistent-hash ring.
 
 use crate::gossip;
 use crate::hedge::{HedgeConfig, Hedger};
@@ -17,15 +19,22 @@ use crate::upstream::{fleet_status, probe_fleet, Fleet, Upstream, PROBE_INTERVAL
 use neusight_fault::BreakerState;
 use neusight_obs as obs;
 use neusight_serve::deadline::{effective_budget_ms, shrink_ms};
-use neusight_serve::http::{self, json_string, ReadOutcome, Request, Response};
+use neusight_serve::engine::{self, App, Engine, Request, RouteOutcome};
+use neusight_serve::http::{json_string, Response};
 use neusight_serve::{Client, ClientResponse, MultiClient, PredictRequest};
-use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// Cap on concurrent client (downstream) connections.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Connect/read timeout for upstream exchanges; also the router's own
+/// per-request deadline when the client sends no `X-Deadline-Ms`.
+const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Router tuning.
 #[derive(Debug, Clone)]
@@ -34,13 +43,8 @@ pub struct RouterConfig {
     pub addr: String,
     /// The fleet: `(stable name, address)` per replica.
     pub upstreams: Vec<(String, SocketAddr)>,
-    /// Connect/read timeout for upstream exchanges; also the router's
-    /// own per-request deadline when the client sends no `X-Deadline-Ms`.
-    pub upstream_timeout: Duration,
     /// Idle timeout for client (downstream) connections.
     pub idle_timeout: Duration,
-    /// Cap on concurrent client connections.
-    pub workers: usize,
     /// Warm a replica's cache from a live donor when it (re)joins.
     pub warm_gossip: bool,
     /// Hedged-request tuning (also carries the shared retry budget).
@@ -56,9 +60,7 @@ impl Default for RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".to_owned(),
             upstreams: Vec::new(),
-            upstream_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
-            workers: 256,
             warm_gossip: false,
             hedge: HedgeConfig::default(),
             shed_target_ms: None,
@@ -66,19 +68,77 @@ impl Default for RouterConfig {
     }
 }
 
-/// State shared by the accept loop, handlers, and the prober.
+/// State shared by the event loop, offloaded routes, and the prober.
 struct RouterShared {
     config: RouterConfig,
+    engine: Engine,
     fleet: Arc<Fleet>,
     hedger: Hedger,
     stop: AtomicBool,
     started: Instant,
 }
 
-impl RouterShared {
+impl App for RouterShared {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
     fn stop_requested(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || neusight_serve::signal::signaled()
     }
+
+    /// Answers `/healthz` and 404/405 on the loop; every route that talks
+    /// to a replica is offloaded.
+    fn route(&self, request: &Request<'_>) -> RouteOutcome<RouterShared> {
+        const ROUTES: [&str; 7] = [
+            "/healthz",
+            "/metrics",
+            "/v1/models",
+            "/v1/gpus",
+            "/v1/predict",
+            "/v1/admin/reload",
+            "/v1/admin/model",
+        ];
+        obs::metrics::counter("router.requests").inc();
+        match (request.method, request.path) {
+            ("POST", "/v1/predict") => {
+                let arrival = Instant::now();
+                let body = request.body.to_vec();
+                let deadline_ms = request.deadline_ms;
+                let trace = *request.trace;
+                offload(move |shared| forward_predict(shared, &body, deadline_ms, &trace, arrival))
+            }
+            ("GET", "/healthz") => RouteOutcome::Respond(health(self)),
+            ("GET", "/metrics") => offload(metrics_page),
+            ("GET", "/v1/admin/model") => offload(model_status),
+            ("POST", "/v1/admin/reload") => {
+                let body = request.body.to_vec();
+                offload(move |shared| rolling_reload(shared, &body))
+            }
+            ("GET", path @ ("/v1/models" | "/v1/gpus")) => {
+                let path = path.to_owned();
+                offload(move |shared| forward_any(shared, &path))
+            }
+            (_, path) if ROUTES.contains(&path) => {
+                let allow = match path {
+                    "/v1/predict" | "/v1/admin/reload" => "POST",
+                    _ => "GET",
+                };
+                RouteOutcome::Respond(
+                    Response::error(405, &format!("use {allow} for {path}"))
+                        .with_header("Allow", allow.to_owned()),
+                )
+            }
+            _ => RouteOutcome::Respond(Response::error(404, "no such route")),
+        }
+    }
+}
+
+/// Runs `job` off the event loop; its response answers the request.
+fn offload(
+    job: impl FnOnce(&RouterShared) -> Response + Send + 'static,
+) -> RouteOutcome<RouterShared> {
+    RouteOutcome::Offload(Box::new(job))
 }
 
 /// A bound (not yet running) router.
@@ -96,7 +156,7 @@ pub struct RouterHandle {
 
 impl RouterHandle {
     /// Requests a graceful drain: stop accepting, finish in-flight
-    /// exchanges, join handlers.
+    /// exchanges, then exit [`Router::run`].
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
     }
@@ -169,6 +229,7 @@ impl Router {
             listener,
             addr,
             shared: Arc::new(RouterShared {
+                engine: Engine::new("router", MAX_CONNECTIONS, config.idle_timeout, false),
                 config,
                 fleet,
                 hedger,
@@ -199,57 +260,25 @@ impl Router {
         }
     }
 
-    /// Runs the accept loop until shutdown, then drains.
+    /// Serves the front door on the connection engine until shutdown,
+    /// then drains: in-flight requests finish before this returns.
     ///
     /// # Errors
     ///
-    /// Propagates listener failures.
+    /// Propagates listener failures; on a non-Linux platform reports
+    /// [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> io::Result<()> {
         let Router {
             listener, shared, ..
         } = self;
-        listener.set_nonblocking(true)?;
-
         let prober = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || run_prober(&shared))
         };
-
-        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        while !shared.stop_requested() {
-            handlers.retain(|h| !h.is_finished());
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if handlers.len() >= shared.config.workers {
-                        let mut stream = stream;
-                        let _ = Response::error(503, "connection limit reached")
-                            .write_to(&mut stream, false);
-                        continue;
-                    }
-                    let shared = Arc::clone(&shared);
-                    handlers.push(thread::spawn(move || {
-                        if neusight_guard::catch("router.connection", || {
-                            handle_connection(&shared, stream)
-                        })
-                        .is_err()
-                        {
-                            obs::metrics::counter("router.connection.panics").inc();
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        for handler in handlers {
-            let _ = handler.join();
-        }
+        let result = engine::run(&shared, &listener);
+        shared.stop.store(true, Ordering::SeqCst);
         let _ = prober.join();
-        Ok(())
+        result
     }
 
     /// Binds and runs on a background thread — the test/bench entry
@@ -312,7 +341,7 @@ fn run_prober(shared: &RouterShared) {
 /// Probe connections for the fleet's *current* addresses.
 fn build_probes(shared: &RouterShared) -> MultiClient {
     let addrs: Vec<SocketAddr> = shared.fleet.upstreams().iter().map(|u| u.addr()).collect();
-    MultiClient::new(&addrs, shared.config.upstream_timeout)
+    MultiClient::new(&addrs, UPSTREAM_TIMEOUT)
 }
 
 /// Worst queue sojourn (ms) across live replicas — the congestion signal
@@ -390,11 +419,7 @@ fn warm_replica(shared: &RouterShared, name: &str) {
         .find(|u| u.name != name && u.is_healthy())
         .cloned();
     let Some(donor) = donor else { return };
-    match gossip::warm(
-        donor.addr(),
-        newcomer.addr(),
-        shared.config.upstream_timeout,
-    ) {
+    match gossip::warm(donor.addr(), newcomer.addr(), UPSTREAM_TIMEOUT) {
         Ok(imported) => {
             obs::event!("router_gossip_warm", replica = name, imported = imported);
         }
@@ -402,81 +427,6 @@ fn warm_replica(shared: &RouterShared, name: &str) {
             obs::metrics::counter("router.gossip.failures").inc();
             obs::event!("router_gossip_warm_failed", replica = name, error = e);
         }
-    }
-}
-
-/// Serves one downstream connection's keep-alive loop.
-fn handle_connection(shared: &RouterShared, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut carry: Vec<u8> = Vec::new();
-    // Pooled keep-alive connections to the replicas this downstream
-    // connection has routed to, keyed by replica name.
-    let mut pool: HashMap<String, Client> = HashMap::new();
-    loop {
-        let outcome = http::read_request(
-            &mut stream,
-            shared.config.idle_timeout,
-            || shared.stop_requested(),
-            &mut carry,
-        );
-        match outcome {
-            Ok(ReadOutcome::Request(request)) => {
-                obs::metrics::counter("router.requests").inc();
-                let trace = obs::TraceContext::start(request.header("x-request-id"));
-                let wants_close = request.wants_close();
-                let response = route(shared, &request, &trace, &mut pool);
-                let keep_alive = !wants_close && !shared.stop_requested();
-                let write_ok = response
-                    .write_to_traced(&mut stream, keep_alive, Some(&trace))
-                    .is_ok();
-                if !write_ok || !keep_alive {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::Malformed(message, status)) => {
-                let _ = Response::error(status, message).write_to(&mut stream, false);
-                return;
-            }
-            Ok(ReadOutcome::Closed | ReadOutcome::IdleTimeout | ReadOutcome::Draining) | Err(_) => {
-                return
-            }
-        }
-    }
-}
-
-/// Routes one request to a handler.
-fn route(
-    shared: &RouterShared,
-    request: &Request,
-    trace: &obs::TraceContext,
-    pool: &mut HashMap<String, Client>,
-) -> Response {
-    const ROUTES: [&str; 7] = [
-        "/healthz",
-        "/metrics",
-        "/v1/models",
-        "/v1/gpus",
-        "/v1/predict",
-        "/v1/admin/reload",
-        "/v1/admin/model",
-    ];
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/predict") => forward_predict(shared, request, trace, pool),
-        ("GET", "/healthz") => health(shared),
-        ("GET", "/metrics") => metrics_page(shared, pool),
-        ("GET", "/v1/admin/model") => model_status(shared, pool),
-        ("POST", "/v1/admin/reload") => rolling_reload(shared, request, pool),
-        ("GET", path @ ("/v1/models" | "/v1/gpus")) => forward_any(shared, path, pool),
-        (_, path) if ROUTES.contains(&path) => {
-            let allow = match path {
-                "/v1/predict" | "/v1/admin/reload" => "POST",
-                _ => "GET",
-            };
-            Response::error(405, &format!("use {allow} for {path}"))
-                .with_header("Allow", allow.to_owned())
-        }
-        _ => Response::error(404, "no such route"),
     }
 }
 
@@ -493,22 +443,22 @@ fn route(
 /// answers 504 immediately instead of burning an upstream exchange.
 fn forward_predict(
     shared: &RouterShared,
-    request: &Request,
+    body: &[u8],
+    deadline_ms: Option<u64>,
     trace: &obs::TraceContext,
-    pool: &mut HashMap<String, Client>,
+    arrival: Instant,
 ) -> Response {
-    let arrival = Instant::now();
     if let Some(shed) = shed_check(shared) {
         return shed;
     }
-    let Ok(body) = std::str::from_utf8(&request.body) else {
+    let Ok(body) = std::str::from_utf8(body) else {
         return Response::error(400, "body is not UTF-8");
     };
     let parsed: PredictRequest = match serde_json::from_str(body) {
         Ok(parsed) => parsed,
         Err(e) => return Response::error(400, &format!("bad predict request: {e}")),
     };
-    let budget_ms = effective_budget_ms(shared.config.upstream_timeout, request.deadline_ms());
+    let budget_ms = effective_budget_ms(UPSTREAM_TIMEOUT, deadline_ms);
     if budget_ms == 0 {
         obs::metrics::counter("router.deadline.expired").inc();
         return Response::error(504, "deadline exceeded");
@@ -548,18 +498,11 @@ fn forward_predict(
             None
         };
         let (result, responder) = match hedge_plan {
-            Some((delay, target)) => hedged_exchange(
-                shared,
-                &upstream,
-                &target,
-                pool,
-                body,
-                trace,
-                remaining_ms,
-                delay,
-            ),
+            Some((delay, target)) => {
+                hedged_exchange(shared, &upstream, &target, body, trace, remaining_ms, delay)
+            }
             None => {
-                let result = exchange(shared, &upstream, pool, |client| {
+                let result = exchange(&upstream, |client| {
                     client.post_json_with_id_and_deadline(
                         "/v1/predict",
                         body,
@@ -643,19 +586,17 @@ fn spawn_exchange(
 /// winning result and the upstream it came from (for breaker/ring
 /// accounting). The losing copy's connection is closed, not pooled — its
 /// socket has a stale response in flight.
-#[allow(clippy::too_many_arguments)]
 fn hedged_exchange(
     shared: &RouterShared,
     primary: &Arc<Upstream>,
     successor: &Arc<Upstream>,
-    pool: &mut HashMap<String, Client>,
     body: &str,
     trace: &obs::TraceContext,
     deadline_ms: u64,
     hedge_delay: Duration,
 ) -> (io::Result<ClientResponse>, Arc<Upstream>) {
     let (tx, rx) = mpsc::channel();
-    let timeout = shared.config.upstream_timeout;
+    let timeout = UPSTREAM_TIMEOUT;
     // Overall wait: the remaining deadline (plus render slack), never
     // longer than the socket timeout would allow anyway.
     let overall = Duration::from_millis(deadline_ms)
@@ -666,7 +607,7 @@ fn hedged_exchange(
         false,
         timeout,
         Arc::clone(primary),
-        pool.remove(&primary.name),
+        primary.checkout(),
         body.to_owned(),
         trace.id_string(),
         deadline_ms,
@@ -683,7 +624,7 @@ fn hedged_exchange(
                     true,
                     timeout,
                     Arc::clone(successor),
-                    pool.remove(&successor.name),
+                    successor.checkout(),
                     body.to_owned(),
                     trace.id_string(),
                     deadline_ms,
@@ -710,11 +651,10 @@ fn hedged_exchange(
         }
     };
     let good = |result: &io::Result<ClientResponse>| matches!(result, Ok(r) if r.status < 500);
-    let settle = |(is_hedge, result, client): ExchangeVerdict,
-                  pool: &mut HashMap<String, Client>| {
+    let settle = |(is_hedge, result, client): ExchangeVerdict| {
         let winner = if is_hedge { successor } else { primary };
         if let Some(client) = client {
-            pool.insert(winner.name.clone(), client);
+            winner.checkin(client);
         }
         if is_hedge && good(&result) {
             obs::metrics::counter("router.hedge.won").inc();
@@ -722,23 +662,23 @@ fn hedged_exchange(
         (result, Arc::clone(winner))
     };
     if good(&first.1) || !hedged {
-        return settle(first, pool);
+        return settle(first);
     }
     // First arrival failed but a second copy is in flight: give it the
     // rest of the window before reporting the failure.
     match rx.recv_timeout(overall) {
-        Ok(second) if good(&second.1) => settle(second, pool),
-        _ => settle(first, pool),
+        Ok(second) if good(&second.1) => settle(second),
+        _ => settle(first),
     }
 }
 
 /// Forwards a shard-agnostic GET to any live replica.
-fn forward_any(shared: &RouterShared, path: &str, pool: &mut HashMap<String, Client>) -> Response {
+fn forward_any(shared: &RouterShared, path: &str) -> Response {
     for _ in 0..shared.fleet.upstreams().len().max(1) {
         let Some(upstream) = shared.fleet.any_live() else {
             break;
         };
-        match exchange(shared, &upstream, pool, |client| client.get(path)) {
+        match exchange(&upstream, |client| client.get(path)) {
             Ok(reply) if reply.status < 500 => return relay(reply),
             Ok(_) | Err(_) => {
                 upstream.breaker.record_failure();
@@ -765,15 +705,10 @@ const RELOAD_SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// rolls back the candidate, leaving the remainder on the old version
 /// (version skew is tolerated: gossip refuses cross-version imports and
 /// every response carries `X-Model-Version`).
-fn rolling_reload(
-    shared: &RouterShared,
-    request: &Request,
-    pool: &mut HashMap<String, Client>,
-) -> Response {
-    let Ok(body) = std::str::from_utf8(&request.body) else {
+fn rolling_reload(shared: &RouterShared, body: &[u8]) -> Response {
+    let Ok(body) = std::str::from_utf8(body) else {
         return Response::error(400, "body is not UTF-8");
     };
-    let body = body.to_owned();
     obs::event!("router_rolling_reload_started");
     let mut reports: Vec<String> = Vec::new();
     let mut promoted = 0usize;
@@ -790,8 +725,8 @@ fn rolling_reload(
             continue;
         }
         let drained = shared.fleet.mark_down(&upstream.name);
-        let reply = exchange(shared, upstream, pool, |client| {
-            client.post_json("/v1/admin/reload", &body)
+        let reply = exchange(upstream, |client| {
+            client.post_json("/v1/admin/reload", body)
         });
         if drained {
             shared.fleet.mark_up(&upstream.name);
@@ -800,7 +735,7 @@ fn rolling_reload(
             Ok(reply) if reply.status == 200 => ("promoted".to_owned(), reply_version(&reply.body)),
             Ok(reply) if reply.status == 202 => {
                 let candidate = reply_version(&reply.body);
-                settle_shadow(shared, upstream, pool, candidate.as_deref())
+                settle_shadow(shared, upstream, candidate.as_deref())
             }
             Ok(reply) => (
                 format!("rejected-{}", reply.status),
@@ -869,14 +804,11 @@ fn reply_version(body: &[u8]) -> Option<String> {
 fn settle_shadow(
     shared: &RouterShared,
     upstream: &Arc<Upstream>,
-    pool: &mut HashMap<String, Client>,
     candidate: Option<&str>,
 ) -> (String, Option<String>) {
     let deadline = Instant::now() + RELOAD_SETTLE_TIMEOUT;
     while Instant::now() < deadline && !shared.stop_requested() {
-        let Ok(reply) = exchange(shared, upstream, pool, |client| {
-            client.get("/v1/admin/model")
-        }) else {
+        let Ok(reply) = exchange(upstream, |client| client.get("/v1/admin/model")) else {
             thread::sleep(Duration::from_millis(50));
             continue;
         };
@@ -905,14 +837,12 @@ fn settle_shadow(
 
 /// `GET /v1/admin/model`: every replica's model status side by side,
 /// plus the distinct serving versions (more than one = mid-roll skew).
-fn model_status(shared: &RouterShared, pool: &mut HashMap<String, Client>) -> Response {
+fn model_status(shared: &RouterShared) -> Response {
     let mut entries: Vec<String> = Vec::new();
     let mut versions: Vec<String> = Vec::new();
     for upstream in shared.fleet.upstreams() {
         let status = if upstream.is_healthy() {
-            match exchange(shared, upstream, pool, |client| {
-                client.get("/v1/admin/model")
-            }) {
+            match exchange(upstream, |client| client.get("/v1/admin/model")) {
                 Ok(reply) if reply.status == 200 => {
                     if let Some(version) = reply_version(&reply.body) {
                         if !versions.contains(&version) {
@@ -983,19 +913,16 @@ fn exchange_owned(
     }
 }
 
-/// One pooled exchange with a replica: takes the pooled connection (if
+/// One pooled exchange with a replica: takes a pooled connection (if
 /// any), runs [`exchange_owned`], and re-pools the connection when it
 /// survived. Any error drops it so the next attempt redials.
 fn exchange(
-    shared: &RouterShared,
     upstream: &Arc<Upstream>,
-    pool: &mut HashMap<String, Client>,
     run: impl FnOnce(&mut Client) -> io::Result<ClientResponse>,
 ) -> io::Result<ClientResponse> {
-    let pooled = pool.remove(&upstream.name);
-    let (result, client) = exchange_owned(shared.config.upstream_timeout, upstream, pooled, run);
+    let (result, client) = exchange_owned(UPSTREAM_TIMEOUT, upstream, upstream.checkout(), run);
     if let Some(client) = client {
-        pool.insert(upstream.name.clone(), client);
+        upstream.checkin(client);
     }
     result
 }
@@ -1068,7 +995,7 @@ fn breaker_label(state: BreakerState) -> &'static str {
 
 /// The router's own registry plus every live replica's exposition,
 /// replica-labeled.
-fn metrics_page(shared: &RouterShared, pool: &mut HashMap<String, Client>) -> Response {
+fn metrics_page(shared: &RouterShared) -> Response {
     let mut text = obs::export::prometheus(&obs::metrics::snapshot());
     text.push_str("# TYPE neusight_router_info gauge\n");
     text.push_str(&format!(
@@ -1081,7 +1008,7 @@ fn metrics_page(shared: &RouterShared, pool: &mut HashMap<String, Client>) -> Re
         if !upstream.is_healthy() {
             continue;
         }
-        let Ok(reply) = exchange(shared, upstream, pool, |client| client.get("/metrics")) else {
+        let Ok(reply) = exchange(upstream, |client| client.get("/metrics")) else {
             continue;
         };
         if reply.status == 200 {

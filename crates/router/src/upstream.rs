@@ -17,20 +17,28 @@
 //! comes back on a *new* ephemeral port under its old ring name, so the
 //! keyspace it owned re-converges onto the same shard. [`Fleet`] bumps a
 //! generation counter on every address change; the prober rebuilds its
-//! probe connections when the generation moves.
+//! probe connections when the generation moves, and the replica's pool of
+//! keep-alive forwarding connections is emptied, so no request is sent
+//! on a socket to the old port.
 
 use crate::ring::{HashRing, RouteKey};
 use neusight_fault::{BreakerConfig, BreakerState, CircuitBreaker};
+use neusight_guard::recover_poison;
 use neusight_obs as obs;
-use neusight_serve::MultiClient;
+use neusight_serve::{Client, MultiClient};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Consecutive probe observations required to flip ring membership in
 /// either direction.
 pub const FLAP_THRESHOLD: u32 = 3;
+
+/// A pooled forwarding connection idle longer than this is closed rather
+/// than reused: well inside a replica's idle reaper, so a pooled socket is
+/// never one the replica has already hung up.
+const POOL_IDLE: Duration = Duration::from_secs(1);
 
 /// One serve replica as the router sees it.
 pub struct Upstream {
@@ -51,6 +59,9 @@ pub struct Upstream {
     /// Latest queue-sojourn congestion signal (ms) parsed from the
     /// replica's `/healthz` by the prober; feeds the shed controller.
     sojourn_ms: AtomicU64,
+    /// Idle keep-alive forwarding connections with when each was
+    /// returned, oldest first.
+    pool: Mutex<Vec<(Instant, Client)>>,
 }
 
 impl Upstream {
@@ -65,6 +76,31 @@ impl Upstream {
             probe_failures: AtomicU32::new(0),
             probe_successes: AtomicU32::new(0),
             sojourn_ms: AtomicU64::new(0),
+            pool: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The most recently returned pooled connection, if one is fresh.
+    #[must_use]
+    pub fn checkout(&self) -> Option<Client> {
+        let mut pool = recover_poison(self.pool.lock());
+        match pool.pop() {
+            Some((returned, client)) if returned.elapsed() < POOL_IDLE => Some(client),
+            // The newest entry is stale, so every older one is too.
+            _ => {
+                pool.clear();
+                None
+            }
+        }
+    }
+
+    /// Returns a connection that finished a clean exchange to the pool,
+    /// unless the replica has moved to a new address since it was
+    /// dialed.
+    pub fn checkin(&self, client: Client) {
+        let mut pool = recover_poison(self.pool.lock());
+        if client.addr() == self.addr() {
+            pool.push((Instant::now(), client));
         }
     }
 
@@ -77,7 +113,7 @@ impl Upstream {
     /// The replica's current socket address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        *neusight_guard::recover_poison(self.addr.lock())
+        *recover_poison(self.addr.lock())
     }
 
     /// The replica's last-probed queue sojourn (ms).
@@ -162,7 +198,11 @@ impl Fleet {
     /// names, not addresses, own keyspace.
     pub fn set_addr(&self, name: &str, addr: SocketAddr) {
         if let Some(up) = self.get(name) {
-            *neusight_guard::recover_poison(up.addr.lock()) = addr;
+            *recover_poison(up.addr.lock()) = addr;
+            // Cleared after the address moves and under the pool lock,
+            // so a concurrent `checkin` either sees the new address or
+            // has its connection cleared here.
+            recover_poison(up.pool.lock()).clear();
             // A new address means a new process: the breaker state
             // describes the dead predecessor, not the fresh child —
             // without a reset the respawn would sit out the predecessor's

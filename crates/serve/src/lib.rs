@@ -22,10 +22,13 @@
 //!   resolution + prediction logic, shared by the server and direct
 //!   in-process callers.
 //! - [`server`] — configuration, routing, deadlines, graceful drain.
-//! - `reactor` — the epoll event loop: one thread multiplexing every
+//! - [`engine`] — the connection engine behind both front doors (this
+//!   server and `neusight router`): each implements [`engine::App`], and
+//!   `reactor` — the epoll event loop, one thread multiplexing every
 //!   connection, with `sys` (epoll/eventfd wrappers) and `timer` (a
-//!   hashed timer wheel) underneath. Admin reloads run on short-lived
-//!   threads of their own and report back through its completion
+//!   hashed timer wheel) underneath — serves it. Slow work (admin
+//!   reloads, the router's upstream exchanges) is offloaded to
+//!   short-lived threads that report back through its completion
 //!   mailbox.
 //! - [`signal`] — SIGTERM/SIGINT → atomic flag, no external crates.
 //! - [`client`] — a blocking keep-alive client for loadgen and tests.
@@ -45,6 +48,7 @@
 pub mod client;
 pub mod deadline;
 pub mod dispatch;
+pub mod engine;
 pub mod http;
 pub mod lifecycle;
 pub mod model;

@@ -1,13 +1,14 @@
-//! The epoll event loop behind `neusight serve`: one reactor thread
-//! multiplexing every connection through readiness notification.
+//! The epoll event loop behind both front doors (`neusight serve` and
+//! `neusight router`): one reactor thread multiplexing every connection
+//! through readiness notification, generic over the [`App`] it serves.
 //!
 //! # Connection state machine
 //!
 //! ```text
-//!            accept                EPOLLIN             route_common
+//!            accept                EPOLLIN              App::route
 //!   listener ──────▶ Reading ─────────────▶ parse_head ──────────────┐
 //!                      ▲                                             │
-//!                      │ keep-alive, write drained   Respond / Predict / Reload
+//!                      │ keep-alive, write drained  Respond / Predict / Offload
 //!                      │                                             │
 //!                   Writing ◀── completion / 504 ── Dispatched ◀─────┘
 //!                   (EPOLLOUT)                       (interest ∅)
@@ -22,12 +23,14 @@
 //!   wants nothing (a level-triggered fd with a buffered request would
 //!   spin otherwise), `Writing` wants `EPOLLOUT`.
 //! - **Completions** arrive through a [`Completions`] mailbox keyed by a
-//!   per-request ticket; the dispatcher (or a reload thread) signals an
-//!   eventfd the loop watches. A request that already got its 504 has its
-//!   ticket removed, so the late completion is dropped on the floor.
-//! - **Reloads never run on the loop**: `POST /v1/admin/reload` parks its
-//!   connection in `Dispatched` while the gate runs on its own thread
-//!   ([`spawn_reload`]), so other connections keep being served.
+//!   per-request ticket; serve's dispatcher (or an offload thread)
+//!   signals an eventfd the loop watches. A request that already got its
+//!   504 has its ticket removed, so the late completion is dropped on the
+//!   floor.
+//! - **Slow work never runs on the loop**: an offloaded request (serve's
+//!   reload gate, every router route that talks to a replica) parks its
+//!   connection in `Dispatched` while the work runs on its own thread
+//!   ([`spawn_offload`]), so other connections keep being served.
 //! - **Buffers are per-connection and reused** across keep-alive
 //!   requests: the read buffer accumulates raw bytes that
 //!   [`http::parse_head`] borrows in place, and responses render into the
@@ -36,11 +39,8 @@
 #![cfg(target_os = "linux")]
 
 use crate::dispatch::{Completions, Done, Reply};
+use crate::engine::{spawn_offload, App, Request, RouteOutcome};
 use crate::http::{self, HeadParse, Response};
-use crate::server::{
-    admit, maybe_dump_on_signal, maybe_reload_on_signal, reject_connection, route_common,
-    spawn_reload, RouteOutcome, Shared,
-};
 use crate::sys::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::timer::{Timer, TimerKind, TimerWheel, TICK};
 use neusight_guard as guard;
@@ -49,7 +49,6 @@ use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,9 +60,9 @@ const WAKEUP_TOKEN: u64 = u64::MAX - 1;
 /// Runs the reactor until a drain completes. Panics inside the event
 /// loop are supervised like the dispatcher's: the loop restarts (fresh
 /// epoll, connections dropped) within a bounded budget.
-pub(crate) fn run(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
-    let supervisor = guard::Supervisor::new("serve.reactor", 16);
-    match supervisor.supervise(|| event_loop(shared, listener)) {
+pub(crate) fn run<A: App>(app: &Arc<A>, listener: &TcpListener) -> io::Result<()> {
+    let supervisor = guard::Supervisor::new(&format!("{}.reactor", app.engine().name), 16);
+    match supervisor.supervise(|| event_loop(app, listener)) {
         Some(result) => result,
         None => Err(io::Error::other("reactor restart budget exhausted")),
     }
@@ -74,7 +73,7 @@ pub(crate) fn run(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()
 enum ConnState {
     /// Accumulating request bytes.
     Reading,
-    /// A predict job is queued (or a reload is running); the mailbox
+    /// A predict job is queued (or an offload is running); the mailbox
     /// will complete `ticket`.
     Dispatched {
         ticket: u64,
@@ -83,9 +82,9 @@ enum ConnState {
         /// Local copy of the request trace, used for the 504 path when
         /// the deadline beats the dispatcher's completion.
         trace: obs::TraceContext,
-        /// An admin reload rather than a predict: it has no deadline and
-        /// does not count as in flight.
-        reload: bool,
+        /// A queued predict rather than an offload: it has a deadline and
+        /// counts as in flight.
+        predict: bool,
     },
     /// Flushing `write_buf` to the socket.
     Writing,
@@ -224,8 +223,8 @@ fn set_interest(epoll: &Epoll, conn: &mut Conn, token: u64, interest: u32) {
     }
 }
 
-struct Reactor<'a> {
-    shared: &'a Arc<Shared>,
+struct Reactor<'a, A: App> {
+    app: &'a Arc<A>,
     epoll: Epoll,
     slab: Slab,
     timers: TimerWheel,
@@ -246,7 +245,7 @@ enum IdleAction {
     RespondTimeout,
 }
 
-fn event_loop(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
+fn event_loop<A: App>(app: &Arc<A>, listener: &TcpListener) -> io::Result<()> {
     let epoll = Epoll::new()?;
     let wakeup = Arc::new(EventFd::new()?);
     epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
@@ -256,13 +255,13 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
         Completions::new(move || wakeup.signal())
     };
     // A supervisor restart dropped the previous incarnation's connections
-    // without running close accounting; this loop owns the counter in
-    // reactor mode, so restart from an honest zero.
-    shared.active_connections.store(0, Ordering::SeqCst);
-    shared.metrics.connections.set(0.0);
+    // without running close accounting; restart the gauge from zero.
+    let metrics = &app.engine().metrics;
+    metrics.connections.set(0.0);
+    let connection_label = format!("{}.connection", app.engine().name);
 
     let mut reactor = Reactor {
-        shared,
+        app,
         epoll,
         slab: Slab::default(),
         timers: TimerWheel::new(Instant::now()),
@@ -273,29 +272,27 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
     };
     let mut events: Vec<(u64, u32)> = Vec::new();
     let mut fired: Vec<Timer> = Vec::new();
-    // Reactor self-telemetry: how long each turn blocks in epoll, how
-    // long it spends doing work (loop lag felt by every connection), and
-    // how loaded the timer wheel is.
-    let epoll_wait_ns = obs::metrics::histogram("serve.reactor.epoll_wait_ns");
-    let loop_lag_ns = obs::metrics::histogram("serve.reactor.loop_lag_ns");
-    let wheel_occupancy = obs::metrics::gauge("serve.reactor.timer_wheel.occupancy");
 
     loop {
-        if !reactor.draining && shared.stop_requested() {
+        if !reactor.draining && app.stop_requested() {
             reactor.begin_drain(listener);
         }
         if reactor.draining && reactor.slab.live == 0 {
             return Ok(());
         }
-        maybe_dump_on_signal();
-        maybe_reload_on_signal(shared);
+        A::on_turn(app);
 
         events.clear();
         let wait_started = Instant::now();
         #[allow(clippy::cast_possible_truncation)]
         reactor.epoll.wait(TICK.as_millis() as i32, &mut events)?;
         let woke = Instant::now();
-        epoll_wait_ns.record_secs(woke.duration_since(wait_started).as_secs_f64());
+        // Reactor self-telemetry: how long each turn blocks in epoll, how
+        // long it spends doing work (loop lag felt by every connection),
+        // and how loaded the timer wheel is.
+        metrics
+            .epoll_wait_ns
+            .record_secs(woke.duration_since(wait_started).as_secs_f64());
         for &(token, readiness) in &events {
             match token {
                 LISTENER_TOKEN => reactor.accept_ready(listener),
@@ -310,7 +307,7 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
                 token => {
                     // A panicked handler costs one connection (best-effort
                     // JSON 500, then close), never the reactor thread.
-                    if guard::catch("serve.connection", || reactor.conn_event(token, readiness))
+                    if guard::catch(&connection_label, || reactor.conn_event(token, readiness))
                         .is_err()
                     {
                         reactor.fail_connection(token);
@@ -329,19 +326,29 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
         for timer in &fired {
             reactor.timer_fired(*timer);
         }
-        loop_lag_ns.record_secs(woke.elapsed().as_secs_f64());
+        metrics
+            .loop_lag_ns
+            .record_secs(woke.elapsed().as_secs_f64());
         #[allow(clippy::cast_precision_loss)]
-        wheel_occupancy.set(reactor.timers.len() as f64);
+        metrics.wheel_occupancy.set(reactor.timers.len() as f64);
     }
 }
 
-impl Reactor<'_> {
+/// 503s a connection accepted beyond the connection cap.
+fn reject_connection(mut stream: TcpStream) {
+    let mut buf = Vec::new();
+    Response::error(503, "connection limit reached").render_into(&mut buf, false);
+    let _ = stream.write_all(&buf);
+}
+
+impl<A: App> Reactor<'_, A> {
     fn publish_connections(&self) {
         #[allow(clippy::cast_precision_loss)]
-        self.shared
+        self.app
+            .engine()
             .metrics
             .connections
-            .set(self.shared.active_connections.load(Ordering::SeqCst) as f64);
+            .set(self.slab.live as f64);
     }
 
     fn accept_ready(&mut self, listener: &TcpListener) {
@@ -362,10 +369,7 @@ impl Reactor<'_> {
                         drop(stream);
                         continue;
                     }
-                    let active = self.shared.active_connections.load(Ordering::SeqCst);
-                    if active >= self.shared.config.workers {
-                        // `workers` bounds concurrent connections here
-                        // (there are no handler threads to bound).
+                    if self.slab.live >= self.app.engine().max_connections {
                         reject_connection(stream);
                         continue;
                     }
@@ -394,14 +398,11 @@ impl Reactor<'_> {
                         self.slab.take(token);
                         continue;
                     }
-                    self.shared
-                        .active_connections
-                        .fetch_add(1, Ordering::SeqCst);
                     self.publish_connections();
                     // One idle timer per connection; it re-arms itself
                     // while the connection stays busy.
                     self.timers.schedule(Timer {
-                        deadline: now + self.shared.config.idle_timeout,
+                        deadline: now + self.app.engine().idle_timeout,
                         token,
                         ticket: 0,
                         kind: TimerKind::Idle,
@@ -476,7 +477,7 @@ impl Reactor<'_> {
     /// write, close).
     fn process_requests(&mut self, token: u64) {
         loop {
-            let stop = self.shared.stop_requested();
+            let stop = self.app.stop_requested();
             let Some(conn) = self.slab.get_mut(token) else {
                 return;
             };
@@ -509,9 +510,15 @@ impl Reactor<'_> {
                         let started = Instant::now();
                         let trace = obs::TraceContext::start(head.request_id);
                         let method = head.method.to_ascii_uppercase();
-                        let body = &conn.read_buf[head.head_len..total];
+                        let request = Request {
+                            method: &method,
+                            path: head.path,
+                            body: &conn.read_buf[head.head_len..total],
+                            deadline_ms: head.deadline_ms,
+                            trace: &trace,
+                        };
                         (
-                            route_common(self.shared, &method, head.path, body),
+                            self.app.route(&request),
                             total,
                             head.wants_close,
                             head.deadline_ms,
@@ -530,31 +537,20 @@ impl Reactor<'_> {
                     self.respond(token, &response, trace, started, keep_alive);
                 }
                 RouteOutcome::Predict(parsed) => {
-                    // The client's propagated X-Deadline-Ms caps the
-                    // configured deadline, and an already-expired budget
-                    // answers 504 without burning a dispatcher slot.
-                    let budget = match crate::server::request_budget(self.shared, deadline_ms) {
-                        Ok(budget) => budget,
-                        Err(expired) => {
-                            self.respond(token, &expired, trace, started, keep_alive);
-                            continue;
-                        }
-                    };
                     let ticket = self.next_ticket;
                     self.next_ticket += 1;
-                    let deadline = Instant::now() + budget;
                     let reply = Reply {
                         ticket,
                         completions: Arc::clone(&self.completions),
                     };
-                    match admit(self.shared, parsed, deadline, reply, trace) {
-                        Ok(()) => {
+                    match self.app.admit(parsed, deadline_ms, reply, trace) {
+                        Ok(deadline) => {
                             conn.state = ConnState::Dispatched {
                                 ticket,
                                 started,
                                 wants_close,
                                 trace,
-                                reload: false,
+                                predict: true,
                             };
                             // No interest while waiting: a level-triggered
                             // fd with buffered pipelined bytes would spin.
@@ -575,7 +571,7 @@ impl Reactor<'_> {
                         }
                     }
                 }
-                RouteOutcome::Reload(request) => {
+                RouteOutcome::Offload(job) => {
                     let ticket = self.next_ticket;
                     self.next_ticket += 1;
                     conn.state = ConnState::Dispatched {
@@ -583,7 +579,7 @@ impl Reactor<'_> {
                         started,
                         wants_close,
                         trace,
-                        reload: true,
+                        predict: false,
                     };
                     set_interest(&self.epoll, conn, token, 0);
                     self.pending.insert(ticket, token);
@@ -591,7 +587,7 @@ impl Reactor<'_> {
                         ticket,
                         completions: Arc::clone(&self.completions),
                     };
-                    spawn_reload(self.shared, request, move |response| {
+                    spawn_offload(self.app, job, move |response| {
                         reply.send(Done::Response(response), trace);
                     });
                     return;
@@ -612,7 +608,8 @@ impl Reactor<'_> {
     ) {
         trace.stamp(obs::Stage::Render);
         trace.set_status(response.status);
-        self.shared
+        self.app
+            .engine()
             .metrics
             .latency_ns
             .record_secs(started.elapsed().as_secs_f64());
@@ -624,7 +621,7 @@ impl Reactor<'_> {
         response.render_traced(&mut conn.write_buf, keep_alive, Some(&trace));
         conn.close_after_write = !keep_alive;
         conn.state = ConnState::Writing;
-        conn.trace = Some(trace);
+        conn.trace = self.app.engine().record_traces.then_some(trace);
         set_interest(&self.epoll, conn, token, EPOLLOUT);
         self.try_write(token);
     }
@@ -678,12 +675,13 @@ impl Reactor<'_> {
             let Some(token) = self.pending.remove(&ticket) else {
                 continue;
             };
-            if matches!(done, Done::Predict(_)) {
-                // The admitted request has left the dispatcher: it is no
-                // longer in flight even if its connection is already gone.
-                self.shared.inflight_sub();
-            }
-            let stop = self.shared.stop_requested();
+            // A predict that has left the dispatcher is no longer in
+            // flight, even if its connection is already gone.
+            let response = match done {
+                Done::Predict(result) => self.app.predict_done(result),
+                Done::Response(response) => response,
+            };
+            let stop = self.app.stop_requested();
             let Some(conn) = self.slab.get_mut(token) else {
                 continue;
             };
@@ -700,11 +698,6 @@ impl Reactor<'_> {
                 continue;
             }
             let keep_alive = !wants_close && !stop && !conn.close_after_write;
-            let response = match done {
-                Done::Predict(Ok(body)) => crate::server::predict_response(self.shared, &body),
-                Done::Predict(Err(e)) => Response::error(e.status, &e.message),
-                Done::Response(response) => response,
-            };
             self.respond(token, &response, trace, started, keep_alive);
             self.process_requests(token);
         }
@@ -718,7 +711,7 @@ impl Reactor<'_> {
     }
 
     fn idle_fired(&mut self, token: u64) {
-        let idle_timeout = self.shared.config.idle_timeout;
+        let idle_timeout = self.app.engine().idle_timeout;
         let action = {
             let Some(conn) = self.slab.get_mut(token) else {
                 return;
@@ -770,8 +763,8 @@ impl Reactor<'_> {
         if self.pending.remove(&ticket).is_none() {
             return;
         }
-        self.shared.inflight_sub();
-        let stop = self.shared.stop_requested();
+        self.app.predict_dropped(true);
+        let stop = self.app.stop_requested();
         let Some(conn) = self.slab.get_mut(token) else {
             return;
         };
@@ -788,7 +781,6 @@ impl Reactor<'_> {
         if current != ticket {
             return;
         }
-        self.shared.metrics.timeouts.inc();
         let keep_alive = !wants_close && !stop && !conn.close_after_write;
         // The dispatcher still owns the job's trace copy; the reactor's
         // own copy (taken at admit time) records the timeout.
@@ -800,6 +792,7 @@ impl Reactor<'_> {
     /// Best-effort JSON 500 after a panicked per-connection handler, then
     /// close.
     fn fail_connection(&mut self, token: u64) {
+        self.app.engine().metrics.panics.inc();
         if let Some(conn) = self.slab.get_mut(token) {
             let mut buf = Vec::new();
             Response::error(500, "connection handler panicked").render_into(&mut buf, false);
@@ -813,16 +806,16 @@ impl Reactor<'_> {
             return;
         };
         self.epoll.delete(conn.stream.as_raw_fd());
-        if let ConnState::Dispatched { ticket, reload, .. } = conn.state {
+        if let ConnState::Dispatched {
+            ticket, predict, ..
+        } = conn.state
+        {
             // Orphan the in-flight job: its completion (the prediction is
             // memoized regardless) and deadline timer both become no-ops.
-            if self.pending.remove(&ticket).is_some() && !reload {
-                self.shared.inflight_sub();
+            if self.pending.remove(&ticket).is_some() && predict {
+                self.app.predict_dropped(false);
             }
         }
-        self.shared
-            .active_connections
-            .fetch_sub(1, Ordering::SeqCst);
         self.publish_connections();
     }
 

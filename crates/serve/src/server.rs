@@ -1,6 +1,6 @@
 //! The HTTP server: configuration, shared state, routing, and the
-//! graceful-drain state machine. The connection engine underneath is the
-//! epoll reactor (`crate::reactor`).
+//! graceful-drain state machine. [`Shared`] is the [`App`] the connection
+//! engine ([`crate::engine`], the epoll reactor) serves.
 //!
 //! # Request lifecycle
 //!
@@ -16,14 +16,15 @@
 //!    serves each batch with one [`PredictService::predict_batch`] call;
 //!    jobs that outlived their deadline in the queue get `504`. Results
 //!    come back to the reactor through its completion mailbox.
-//! 5. `POST /v1/admin/reload` (and SIGHUP) run the reload gate on a
-//!    short-lived thread of their own, so the event loop never blocks on
-//!    it.
+//! 5. `POST /v1/admin/reload` (and SIGHUP) run the reload gate as an
+//!    offload, on a short-lived thread of its own, so the event loop never
+//!    blocks on it.
 //! 6. On SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) the server stops
 //!    accepting, lets in-flight requests finish, drains the queue, and
 //!    only then joins the dispatcher and returns.
 
-use crate::dispatch::{self, DispatchConfig, Job};
+use crate::dispatch::{self, DispatchConfig, Job, Reply, ReplyResult};
+use crate::engine::{self, spawn_offload, App, Engine, Request, RouteOutcome};
 use crate::http::{self, Response};
 use crate::lifecycle::ReloadRequest;
 use crate::queue::{BoundedQueue, QueueFull};
@@ -32,8 +33,8 @@ use crate::signal;
 use neusight_core::NeuSight;
 use neusight_guard as guard;
 use neusight_obs as obs;
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -94,13 +95,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Hot-path HTTP metric handles.
+/// Hot-path HTTP metric handles (the engine keeps its own connection
+/// and latency metrics).
 pub(crate) struct HttpMetrics {
     pub(crate) requests: Arc<obs::Counter>,
     pub(crate) rejected_429: Arc<obs::Counter>,
     pub(crate) timeouts: Arc<obs::Counter>,
-    pub(crate) latency_ns: Arc<obs::Histogram>,
-    pub(crate) connections: Arc<obs::Gauge>,
     pub(crate) queue_depth: Arc<obs::Gauge>,
     pub(crate) inflight: Arc<obs::Gauge>,
 }
@@ -111,8 +111,6 @@ impl HttpMetrics {
             requests: obs::metrics::counter("serve.http.requests"),
             rejected_429: obs::metrics::counter("serve.http.429"),
             timeouts: obs::metrics::counter("serve.http.timeout"),
-            latency_ns: obs::metrics::histogram("serve.request_latency_ns"),
-            connections: obs::metrics::gauge("serve.connections.active"),
             queue_depth: obs::metrics::gauge("serve.queue.depth"),
             inflight: obs::metrics::gauge("serve.requests.inflight"),
         }
@@ -122,13 +120,13 @@ impl HttpMetrics {
 /// State shared by the reactor, the dispatcher, and reload threads.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
+    pub(crate) engine: Engine,
     pub(crate) service: PredictService,
     pub(crate) queue: BoundedQueue<Job>,
     /// Stop admitting new work; in-flight requests still complete.
     pub(crate) draining: AtomicBool,
     /// Terminates the dispatcher once the reactor has exited.
     pub(crate) dispatcher_stop: AtomicBool,
-    pub(crate) active_connections: AtomicUsize,
     /// Predict jobs admitted to the queue and not yet answered.
     pub(crate) inflight: AtomicUsize,
     /// CoDel-style congestion signal from the dispatcher: the *minimum*
@@ -140,11 +138,56 @@ pub(crate) struct Shared {
     pub(crate) metrics: HttpMetrics,
 }
 
-impl Shared {
-    pub(crate) fn stop_requested(&self) -> bool {
+impl App for Shared {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    fn stop_requested(&self) -> bool {
         self.draining.load(Ordering::SeqCst) || signal::signaled()
     }
 
+    fn route(&self, request: &Request<'_>) -> RouteOutcome<Shared> {
+        route(self, request.method, request.path, request.body)
+    }
+
+    fn on_turn(shared: &Arc<Shared>) {
+        maybe_dump_on_signal();
+        maybe_reload_on_signal(shared);
+    }
+
+    /// The client's propagated `X-Deadline-Ms` caps the configured
+    /// deadline, and an already-expired budget answers 504 without
+    /// burning a dispatcher slot.
+    fn admit(
+        &self,
+        request: PredictRequest,
+        deadline_ms: Option<u64>,
+        reply: Reply,
+        trace: obs::TraceContext,
+    ) -> Result<Instant, Response> {
+        let deadline = Instant::now() + request_budget(self, deadline_ms)?;
+        admit(self, request, deadline, reply, trace)?;
+        Ok(deadline)
+    }
+
+    fn predict_done(&self, result: ReplyResult) -> Response {
+        self.inflight_sub();
+        match result {
+            Ok(body) => predict_response(self, &body),
+            Err(e) => Response::error(e.status, &e.message),
+        }
+    }
+
+    fn predict_dropped(&self, timed_out: bool) {
+        self.inflight_sub();
+        if timed_out {
+            self.metrics.timeouts.inc();
+        }
+    }
+}
+
+impl Shared {
     /// Counts a predict admission (atomic truth plus the exported gauge).
     pub(crate) fn inflight_add(&self) {
         let now = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -204,6 +247,7 @@ impl Server {
             listener,
             addr,
             shared: Arc::new(Shared {
+                engine: Engine::new("serve", config.workers, config.idle_timeout, true),
                 service: PredictService::with_version(
                     config
                         .model_version
@@ -216,7 +260,6 @@ impl Server {
                 queue,
                 draining: AtomicBool::new(false),
                 dispatcher_stop: AtomicBool::new(false),
-                active_connections: AtomicUsize::new(0),
                 inflight: AtomicUsize::new(0),
                 sojourn_ms: AtomicU64::new(0),
                 started: Instant::now(),
@@ -261,7 +304,6 @@ impl Server {
         if shared.config.handle_signals {
             signal::install();
         }
-        listener.set_nonblocking(true)?;
 
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -288,7 +330,7 @@ impl Server {
             })
         };
 
-        let result = run_reactor(&shared, &listener);
+        let result = engine::run(&shared, &listener);
 
         // The reactor returns with its connections finished; the
         // dispatcher then drains whatever is still queued and stops.
@@ -352,24 +394,9 @@ impl RunningServer {
     }
 }
 
-/// The epoll event loop: a single reactor thread multiplexing every
-/// connection. Returns after a requested drain has closed them all.
-#[cfg(target_os = "linux")]
-fn run_reactor(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
-    crate::reactor::run(shared, listener)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn run_reactor(_shared: &Arc<Shared>, _listener: &TcpListener) -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "neusight serve requires Linux epoll",
-    ))
-}
-
 /// Dumps the flight recorder to [`obs::trace::dump_path`] if SIGUSR1
 /// arrived since the last poll. Called every event-loop turn.
-pub(crate) fn maybe_dump_on_signal() {
+fn maybe_dump_on_signal() {
     if !signal::take_usr1() {
         return;
     }
@@ -384,65 +411,40 @@ pub(crate) fn maybe_dump_on_signal() {
 }
 
 /// Stages a reload of the latest registry version if SIGHUP arrived
-/// since the last poll. Called every event-loop turn; the gate runs on a
-/// reload thread (see [`spawn_reload`]) and logs its decision.
-pub(crate) fn maybe_reload_on_signal(shared: &Arc<Shared>) {
+/// since the last poll. Called every event-loop turn; the gate runs off
+/// the loop (see [`reload_offload`]) and logs its decision.
+fn maybe_reload_on_signal(shared: &Arc<Shared>) {
     if !signal::take_hup() {
         return;
     }
-    spawn_reload(shared, ReloadRequest::default(), |response| {
-        eprintln!(
-            "neusight-serve: SIGHUP reload -> {} {}",
-            response.status,
-            String::from_utf8_lossy(&response.body)
-        );
-    });
+    spawn_offload(
+        shared,
+        reload_offload(ReloadRequest::default()),
+        |response| {
+            eprintln!(
+                "neusight-serve: SIGHUP reload -> {} {}",
+                response.status,
+                String::from_utf8_lossy(&response.body)
+            );
+        },
+    );
 }
 
-/// Runs the reload gate (registry load, golden sanity, two golden-MAPE
-/// passes — a few hundred milliseconds on a standard predictor) on a
-/// short-lived thread of its own, so the event loop never blocks on it.
-/// `done` receives the gate's decision, or a JSON 500 if it panicked.
-pub(crate) fn spawn_reload(
-    shared: &Arc<Shared>,
-    request: ReloadRequest,
-    done: impl FnOnce(Response) + Send + 'static,
-) {
-    let shared = Arc::clone(shared);
-    thread::spawn(move || {
-        let response = guard::catch("serve.reload", || {
-            let outcome = shared
-                .service
-                .reload(shared.config.models_dir.as_deref(), &request);
-            Response::json(outcome.status, outcome.body)
-        })
-        .unwrap_or_else(|_| Response::error(500, "reload panicked"));
-        done(response);
-    });
-}
-
-/// 503s a connection accepted beyond the worker cap.
-pub(crate) fn reject_connection(mut stream: TcpStream) {
-    let _ = Response::error(503, "connection limit reached").write_to(&mut stream, false);
-    let _ = stream.flush();
-}
-
-/// Outcome of the routing step: a ready response, or work the reactor
-/// hands off and answers when its completion arrives.
-pub(crate) enum RouteOutcome {
-    /// Answer immediately.
-    Respond(Response),
-    /// Admit to the dispatcher queue (via [`admit`]) and reply when the
-    /// job completes.
-    Predict(PredictRequest),
-    /// Run the reload gate on its own thread (via [`spawn_reload`]) and
-    /// reply with its decision.
-    Reload(ReloadRequest),
+/// The reload gate (registry load, golden sanity, two golden-MAPE passes
+/// — a few hundred milliseconds on a standard predictor) as work for a
+/// short-lived thread, so the event loop never blocks on it.
+fn reload_offload(request: ReloadRequest) -> engine::Offload<Shared> {
+    Box::new(move |shared: &Shared| {
+        let outcome = shared
+            .service
+            .reload(shared.config.models_dir.as_deref(), &request);
+        Response::json(outcome.status, outcome.body)
+    })
 }
 
 /// Maps a request to a handler — everything except the predict and
 /// reload waits, which the reactor drives.
-pub(crate) fn route_common(shared: &Shared, method: &str, path: &str, body: &[u8]) -> RouteOutcome {
+fn route(shared: &Shared, method: &str, path: &str, body: &[u8]) -> RouteOutcome<Shared> {
     use RouteOutcome::Respond;
     shared.metrics.requests.inc();
     const ROUTES: [&str; 11] = [
@@ -481,7 +483,7 @@ pub(crate) fn route_common(shared: &Shared, method: &str, path: &str, body: &[u8
         }),
         ("POST", "/v1/control/brownout") => Respond(brownout(shared, body)),
         ("POST", "/v1/admin/reload") => match parse_reload_body(body) {
-            Ok(parsed) => RouteOutcome::Reload(parsed),
+            Ok(parsed) => RouteOutcome::Offload(reload_offload(parsed)),
             Err(response) => Respond(response),
         },
         ("GET", "/v1/admin/model") => {
@@ -550,7 +552,7 @@ fn parse_predict_body(body: &[u8]) -> Result<PredictRequest, Response> {
 
 /// Admits a parsed predict request to the dispatcher queue. On a full
 /// queue, returns the 429 (with `Retry-After`) to send instead.
-pub(crate) fn admit(
+fn admit(
     shared: &Shared,
     request: PredictRequest,
     deadline: Instant,
@@ -646,17 +648,14 @@ fn metrics_page(shared: &Shared) -> Response {
 
 /// Renders a successful predict body, stamping the `X-Model-Version`
 /// header.
-pub(crate) fn predict_response(shared: &Shared, body: &str) -> Response {
+fn predict_response(shared: &Shared, body: &str) -> Response {
     Response::json(200, body.to_string())
         .with_header("X-Model-Version", shared.service.model_version())
 }
 
 /// The request's enforced budget, or the immediate `504` for a request
 /// that arrived already out of budget.
-pub(crate) fn request_budget(
-    shared: &Shared,
-    deadline_ms: Option<u64>,
-) -> Result<Duration, Response> {
+fn request_budget(shared: &Shared, deadline_ms: Option<u64>) -> Result<Duration, Response> {
     let budget_ms = crate::deadline::effective_budget_ms(shared.config.deadline, deadline_ms);
     if budget_ms == 0 {
         shared.metrics.timeouts.inc();
