@@ -23,6 +23,10 @@
 //! - aggregates `/healthz` and `/metrics` across the fleet (upstream
 //!   samples are re-labeled `replica="…"`).
 //!
+//! Downstream connections run on serve's epoll connection engine
+//! ([`neusight_serve::engine`]; Linux-only, like serve), and routes that
+//! talk to a replica run off its loop ([`proxy`]).
+//!
 //! The resilience tier makes the cluster self-healing:
 //!
 //! - **supervision** ([`supervisor`]): spawn-mode children that die are

@@ -8,7 +8,7 @@
 //! reload, the `/metrics` fan-out, `/v1/models`, `/v1/admin/model` — are
 //! offloaded to a short-lived thread each. There the exchange is a
 //! blocking one over a pooled keep-alive [`Client`] taken from the
-//! replica's own pool (see [`Upstream::checkout`]), so the steady-state
+//! replica's own pool (see `Upstream::checkout`), so the steady-state
 //! hop adds a hash + one pooled socket write, not a dial. Predict traffic
 //! routes by [`RouteKey`] over the fleet's consistent-hash ring.
 
@@ -557,29 +557,6 @@ fn forward_predict(
 /// outcome, and the connection (for pool reuse) if still clean.
 type ExchangeVerdict = (bool, io::Result<ClientResponse>, Option<Client>);
 
-/// Runs one predict exchange on a background thread, reporting through
-/// `tx`. Detached on purpose: the losing copy of a hedged pair finishes
-/// (or times out) in the background and its connection is dropped.
-#[allow(clippy::too_many_arguments)]
-fn spawn_exchange(
-    tx: &mpsc::Sender<ExchangeVerdict>,
-    is_hedge: bool,
-    timeout: Duration,
-    upstream: Arc<Upstream>,
-    client: Option<Client>,
-    body: String,
-    request_id: String,
-    deadline_ms: u64,
-) {
-    let tx = tx.clone();
-    thread::spawn(move || {
-        let (result, client) = exchange_owned(timeout, &upstream, client, |c| {
-            c.post_json_with_id_and_deadline("/v1/predict", &body, &request_id, deadline_ms)
-        });
-        let _ = tx.send((is_hedge, result, client));
-    });
-}
-
 /// A hedged predict: send to the primary, wait the hedge delay, and if
 /// it still has not answered fire one duplicate at the next ring owner
 /// (budget permitting), taking whichever answer lands first. Returns the
@@ -595,23 +572,26 @@ fn hedged_exchange(
     deadline_ms: u64,
     hedge_delay: Duration,
 ) -> (io::Result<ClientResponse>, Arc<Upstream>) {
-    let (tx, rx) = mpsc::channel();
-    let timeout = UPSTREAM_TIMEOUT;
+    let (tx, rx) = mpsc::channel::<ExchangeVerdict>();
+    // Runs one copy of the exchange on a background thread. Detached on
+    // purpose: the losing copy of a hedged pair finishes (or times out)
+    // in the background and its connection is dropped.
+    let spawn_exchange = |is_hedge: bool, upstream: &Arc<Upstream>| {
+        let (tx, upstream) = (tx.clone(), Arc::clone(upstream));
+        let (body, request_id) = (body.to_owned(), trace.id_string());
+        thread::spawn(move || {
+            let (result, client) = exchange_owned(&upstream, |c| {
+                c.post_json_with_id_and_deadline("/v1/predict", &body, &request_id, deadline_ms)
+            });
+            let _ = tx.send((is_hedge, result, client));
+        });
+    };
     // Overall wait: the remaining deadline (plus render slack), never
     // longer than the socket timeout would allow anyway.
     let overall = Duration::from_millis(deadline_ms)
-        .min(timeout)
+        .min(UPSTREAM_TIMEOUT)
         .saturating_add(Duration::from_millis(250));
-    spawn_exchange(
-        &tx,
-        false,
-        timeout,
-        Arc::clone(primary),
-        primary.checkout(),
-        body.to_owned(),
-        trace.id_string(),
-        deadline_ms,
-    );
+    spawn_exchange(false, primary);
     let mut hedged = false;
     let first = match rx.recv_timeout(hedge_delay) {
         Ok(verdict) => verdict,
@@ -619,16 +599,7 @@ fn hedged_exchange(
             if shared.hedger.try_spend("hedge") {
                 hedged = true;
                 obs::metrics::counter("router.hedge.fired").inc();
-                spawn_exchange(
-                    &tx,
-                    true,
-                    timeout,
-                    Arc::clone(successor),
-                    successor.checkout(),
-                    body.to_owned(),
-                    trace.id_string(),
-                    deadline_ms,
-                );
+                spawn_exchange(true, successor);
             }
             match rx.recv_timeout(overall) {
                 Ok(verdict) => verdict,
@@ -872,17 +843,16 @@ fn model_status(shared: &RouterShared) -> Response {
     )
 }
 
-/// One exchange with a replica over an owned (optional) connection,
+/// One exchange with a replica over a pooled connection (or a fresh one),
 /// wrapped in the chaos failpoints. Dials `upstream.addr()` — read at
 /// call time, so a supervised respawn's new port takes effect on the
 /// next dial. Returns the connection for reuse only if the exchange
 /// left it clean.
 fn exchange_owned(
-    timeout: Duration,
     upstream: &Arc<Upstream>,
-    client: Option<Client>,
     run: impl FnOnce(&mut Client) -> io::Result<ClientResponse>,
 ) -> (io::Result<ClientResponse>, Option<Client>) {
+    let client = upstream.checkout();
     if let Some(injected) = neusight_fault::fail_point!("router.upstream.connect") {
         injected.sleep();
         if injected.fail {
@@ -891,7 +861,7 @@ fn exchange_owned(
     }
     let mut client = match client {
         Some(client) => client,
-        None => match Client::connect_timeout(upstream.addr(), timeout) {
+        None => match Client::connect_timeout(upstream.addr(), UPSTREAM_TIMEOUT) {
             Ok(client) => client,
             Err(e) => return (Err(e), None),
         },
@@ -913,14 +883,14 @@ fn exchange_owned(
     }
 }
 
-/// One pooled exchange with a replica: takes a pooled connection (if
-/// any), runs [`exchange_owned`], and re-pools the connection when it
-/// survived. Any error drops it so the next attempt redials.
+/// One pooled exchange with a replica: runs [`exchange_owned`] and
+/// re-pools the connection when it survived. Any error drops it so the
+/// next attempt redials.
 fn exchange(
     upstream: &Arc<Upstream>,
     run: impl FnOnce(&mut Client) -> io::Result<ClientResponse>,
 ) -> io::Result<ClientResponse> {
-    let (result, client) = exchange_owned(UPSTREAM_TIMEOUT, upstream, upstream.checkout(), run);
+    let (result, client) = exchange_owned(upstream, run);
     if let Some(client) = client {
         upstream.checkin(client);
     }

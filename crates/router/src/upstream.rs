@@ -82,7 +82,7 @@ impl Upstream {
 
     /// The most recently returned pooled connection, if one is fresh.
     #[must_use]
-    pub fn checkout(&self) -> Option<Client> {
+    pub(crate) fn checkout(&self) -> Option<Client> {
         let mut pool = recover_poison(self.pool.lock());
         match pool.pop() {
             Some((returned, client)) if returned.elapsed() < POOL_IDLE => Some(client),
@@ -97,7 +97,7 @@ impl Upstream {
     /// Returns a connection that finished a clean exchange to the pool,
     /// unless the replica has moved to a new address since it was
     /// dialed.
-    pub fn checkin(&self, client: Client) {
+    pub(crate) fn checkin(&self, client: Client) {
         let mut pool = recover_poison(self.pool.lock());
         if client.addr() == self.addr() {
             pool.push((Instant::now(), client));

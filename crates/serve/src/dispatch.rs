@@ -21,12 +21,12 @@ pub type ReplyResult = Result<Arc<str>, ServeError>;
 pub enum Done {
     /// A dispatcher predict result.
     Predict(ReplyResult),
-    /// A finished response (an admin reload's gate decision).
+    /// A finished response (an offloaded route's answer).
     Response(Response),
 }
 
 /// A mailbox for completions destined for the event loop: the dispatcher
-/// (or a reload thread) pushes `(ticket, result, trace)` triples and
+/// (or an offload thread) pushes `(ticket, result, trace)` triples and
 /// fires the wake callback (the reactor's wakeup fd), and the event loop
 /// drains the batch on its next turn.
 pub struct Completions {

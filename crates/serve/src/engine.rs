@@ -2,23 +2,13 @@
 //! `neusight router` each implement [`App`], and [`run`] drives it on the
 //! epoll reactor.
 //!
-//! The engine owns everything about connections: accept, the connection
-//! cap, HTTP parsing, keep-alive pipelining, idle reaping (and the 408
-//! for a stalled body), non-blocking writes, graceful drain, and panic
-//! isolation. The app owns what a request means. It supplies
-//!
-//! - its limits and metric handles ([`Engine`]),
-//! - its routing ([`App::route`]), which answers on the loop
-//!   ([`RouteOutcome::Respond`]), queues a prediction for serve's
-//!   dispatcher ([`RouteOutcome::Predict`]), or moves slow work off the
-//!   loop ([`RouteOutcome::Offload`]),
-//! - and, for serve only, the admission and completion hooks of its
-//!   predict queue.
-//!
-//! An offload runs on a short-lived thread of its own ([`spawn_offload`])
-//! and replies through the reactor's completion mailbox, so a reload gate
-//! or a blocking upstream exchange never stalls other connections. A
-//! panic inside it is caught there and answered with one JSON 500.
+//! The engine owns accept, the connection cap, parsing, pipelining, idle
+//! reaping (and the 408), writes, drain, and panic isolation. The app
+//! supplies its limits and metric handles ([`Engine`]), its routing
+//! ([`App::route`]), and — serve only — its predict-queue hooks. Slow
+//! work is offloaded to a short-lived thread (`spawn_offload`) that
+//! replies through the reactor's completion mailbox, so a reload gate or
+//! a blocking upstream exchange never stalls other connections.
 
 use crate::dispatch::{Reply, ReplyResult};
 use crate::http::Response;
@@ -34,15 +24,20 @@ use std::time::{Duration, Instant};
 /// Connection limits and metric handles one app supplies to the engine.
 pub struct Engine {
     /// Metric prefix and log label (`serve`, `router`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Most concurrent connections; beyond it, new ones get a 503.
-    pub max_connections: usize,
+    pub(crate) max_connections: usize,
     /// Keep-alive connections idle past this are reaped.
-    pub idle_timeout: Duration,
+    pub(crate) idle_timeout: Duration,
     /// Finish each response's trace into the flight recorder and the
     /// `serve.stage.*` histograms.
-    pub record_traces: bool,
-    pub(crate) metrics: EngineMetrics,
+    pub(crate) record_traces: bool,
+    pub(crate) connections: Arc<obs::Gauge>,
+    pub(crate) latency_ns: Arc<obs::Histogram>,
+    pub(crate) panics: Arc<obs::Counter>,
+    pub(crate) epoll_wait_ns: Arc<obs::Histogram>,
+    pub(crate) loop_lag_ns: Arc<obs::Histogram>,
+    pub(crate) wheel_occupancy: Arc<obs::Gauge>,
 }
 
 impl Engine {
@@ -54,35 +49,18 @@ impl Engine {
         idle_timeout: Duration,
         record_traces: bool,
     ) -> Engine {
+        let metric = |suffix: &str| format!("{name}.{suffix}");
         Engine {
             name,
             max_connections,
             idle_timeout,
             record_traces,
-            metrics: EngineMetrics::new(name),
-        }
-    }
-}
-
-/// The engine's own metric handles.
-pub(crate) struct EngineMetrics {
-    pub(crate) connections: Arc<obs::Gauge>,
-    pub(crate) latency_ns: Arc<obs::Histogram>,
-    pub(crate) panics: Arc<obs::Counter>,
-    pub(crate) epoll_wait_ns: Arc<obs::Histogram>,
-    pub(crate) loop_lag_ns: Arc<obs::Histogram>,
-    pub(crate) wheel_occupancy: Arc<obs::Gauge>,
-}
-
-impl EngineMetrics {
-    fn new(name: &str) -> EngineMetrics {
-        EngineMetrics {
-            connections: obs::metrics::gauge(&format!("{name}.connections.active")),
-            latency_ns: obs::metrics::histogram(&format!("{name}.request_latency_ns")),
-            panics: obs::metrics::counter(&format!("{name}.connection.panics")),
-            epoll_wait_ns: obs::metrics::histogram(&format!("{name}.reactor.epoll_wait_ns")),
-            loop_lag_ns: obs::metrics::histogram(&format!("{name}.reactor.loop_lag_ns")),
-            wheel_occupancy: obs::metrics::gauge(&format!("{name}.reactor.timer_wheel.occupancy")),
+            connections: obs::metrics::gauge(&metric("connections.active")),
+            latency_ns: obs::metrics::histogram(&metric("request_latency_ns")),
+            panics: obs::metrics::counter(&metric("connection.panics")),
+            epoll_wait_ns: obs::metrics::histogram(&metric("reactor.epoll_wait_ns")),
+            loop_lag_ns: obs::metrics::histogram(&metric("reactor.loop_lag_ns")),
+            wheel_occupancy: obs::metrics::gauge(&metric("reactor.timer_wheel.occupancy")),
         }
     }
 }
@@ -111,7 +89,7 @@ pub enum RouteOutcome<A> {
     /// Admit to the app's predict queue ([`App::admit`]) and reply when
     /// the job completes or its deadline fires.
     Predict(PredictRequest),
-    /// Run on a short-lived thread ([`spawn_offload`]) and reply with its
+    /// Run on a short-lived thread of its own and reply with its
     /// response.
     Offload(Offload<A>),
 }
@@ -180,7 +158,7 @@ pub fn run<A: App>(app: &Arc<A>, listener: &TcpListener) -> io::Result<()> {
 
 /// Runs `job` on a short-lived thread and hands its response to `done`;
 /// a panic becomes a JSON 500 and counts in `<name>.connection.panics`.
-pub fn spawn_offload<A: App>(
+pub(crate) fn spawn_offload<A: App>(
     app: &Arc<A>,
     job: Offload<A>,
     done: impl FnOnce(Response) + Send + 'static,
@@ -189,9 +167,64 @@ pub fn spawn_offload<A: App>(
     thread::spawn(move || {
         let engine = app.engine();
         let response = guard::catch(engine.name, || job(&app)).unwrap_or_else(|_| {
-            engine.metrics.panics.inc();
+            engine.panics.inc();
             Response::error(500, "handler panicked")
         });
         done(response);
     });
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// An app whose `/panic` route panics off the loop.
+    struct Panicky {
+        engine: Engine,
+        stop: AtomicBool,
+    }
+
+    impl App for Panicky {
+        fn engine(&self) -> &Engine {
+            &self.engine
+        }
+
+        fn stop_requested(&self) -> bool {
+            self.stop.load(Ordering::SeqCst)
+        }
+
+        fn route(&self, request: &Request<'_>) -> RouteOutcome<Panicky> {
+            let panics = request.path == "/panic";
+            RouteOutcome::Offload(Box::new(move |_: &Panicky| {
+                assert!(!panics, "injected handler panic");
+                Response::json(200, "{}".to_owned())
+            }))
+        }
+    }
+
+    #[test]
+    fn a_panicking_offload_answers_one_json_500_and_the_connection_lives_on() {
+        obs::set_enabled(true);
+        let app = Arc::new(Panicky {
+            engine: Engine::new("engine_test", 8, Duration::from_secs(5), false),
+            stop: AtomicBool::new(false),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
+        let engine = Arc::clone(&app);
+        let server = thread::spawn(move || run(&engine, &listener));
+        let panicked = client.get("/panic").expect("a reply, not a dropped socket");
+        assert_eq!(panicked.status, 500);
+        assert!(
+            panicked.text().starts_with("{\"error\":"),
+            "{}",
+            panicked.text()
+        );
+        assert_eq!(app.engine.panics.get(), 1);
+        assert_eq!(client.get("/ok").expect("same connection").status, 200);
+        app.stop.store(true, Ordering::SeqCst);
+        server.join().expect("engine thread").expect("clean drain");
+    }
 }

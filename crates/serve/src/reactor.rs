@@ -256,9 +256,9 @@ fn event_loop<A: App>(app: &Arc<A>, listener: &TcpListener) -> io::Result<()> {
     };
     // A supervisor restart dropped the previous incarnation's connections
     // without running close accounting; restart the gauge from zero.
-    let metrics = &app.engine().metrics;
-    metrics.connections.set(0.0);
-    let connection_label = format!("{}.connection", app.engine().name);
+    let engine = app.engine();
+    engine.connections.set(0.0);
+    let connection_label = format!("{}.connection", engine.name);
 
     let mut reactor = Reactor {
         app,
@@ -290,7 +290,7 @@ fn event_loop<A: App>(app: &Arc<A>, listener: &TcpListener) -> io::Result<()> {
         // Reactor self-telemetry: how long each turn blocks in epoll, how
         // long it spends doing work (loop lag felt by every connection),
         // and how loaded the timer wheel is.
-        metrics
+        engine
             .epoll_wait_ns
             .record_secs(woke.duration_since(wait_started).as_secs_f64());
         for &(token, readiness) in &events {
@@ -326,11 +326,9 @@ fn event_loop<A: App>(app: &Arc<A>, listener: &TcpListener) -> io::Result<()> {
         for timer in &fired {
             reactor.timer_fired(*timer);
         }
-        metrics
-            .loop_lag_ns
-            .record_secs(woke.elapsed().as_secs_f64());
+        engine.loop_lag_ns.record_secs(woke.elapsed().as_secs_f64());
         #[allow(clippy::cast_precision_loss)]
-        metrics.wheel_occupancy.set(reactor.timers.len() as f64);
+        engine.wheel_occupancy.set(reactor.timers.len() as f64);
     }
 }
 
@@ -344,11 +342,7 @@ fn reject_connection(mut stream: TcpStream) {
 impl<A: App> Reactor<'_, A> {
     fn publish_connections(&self) {
         #[allow(clippy::cast_precision_loss)]
-        self.app
-            .engine()
-            .metrics
-            .connections
-            .set(self.slab.live as f64);
+        self.app.engine().connections.set(self.slab.live as f64);
     }
 
     fn accept_ready(&mut self, listener: &TcpListener) {
@@ -529,33 +523,22 @@ impl<A: App> Reactor<'_, A> {
                 };
             conn.read_buf.drain(..consumed);
             let keep_alive = !wants_close && !stop;
-            match outcome {
+            let ticket = self.next_ticket;
+            let predict = match outcome {
                 RouteOutcome::Respond(response) => {
                     // If the write drains synchronously the state is
                     // Reading again and the loop serves the next
                     // pipelined request; otherwise the next turn exits.
                     self.respond(token, &response, trace, started, keep_alive);
+                    continue;
                 }
                 RouteOutcome::Predict(parsed) => {
-                    let ticket = self.next_ticket;
-                    self.next_ticket += 1;
                     let reply = Reply {
                         ticket,
                         completions: Arc::clone(&self.completions),
                     };
                     match self.app.admit(parsed, deadline_ms, reply, trace) {
                         Ok(deadline) => {
-                            conn.state = ConnState::Dispatched {
-                                ticket,
-                                started,
-                                wants_close,
-                                trace,
-                                predict: true,
-                            };
-                            // No interest while waiting: a level-triggered
-                            // fd with buffered pipelined bytes would spin.
-                            set_interest(&self.epoll, conn, token, 0);
-                            self.pending.insert(ticket, token);
                             // The dispatcher's own 504 gets 250 ms to
                             // arrive before the reactor times out.
                             self.timers.schedule(Timer {
@@ -564,25 +547,15 @@ impl<A: App> Reactor<'_, A> {
                                 ticket,
                                 kind: TimerKind::Deadline,
                             });
-                            return;
+                            true
                         }
                         Err(rejection) => {
                             self.respond(token, &rejection, trace, started, keep_alive);
+                            continue;
                         }
                     }
                 }
                 RouteOutcome::Offload(job) => {
-                    let ticket = self.next_ticket;
-                    self.next_ticket += 1;
-                    conn.state = ConnState::Dispatched {
-                        ticket,
-                        started,
-                        wants_close,
-                        trace,
-                        predict: false,
-                    };
-                    set_interest(&self.epoll, conn, token, 0);
-                    self.pending.insert(ticket, token);
                     let reply = Reply {
                         ticket,
                         completions: Arc::clone(&self.completions),
@@ -590,9 +563,22 @@ impl<A: App> Reactor<'_, A> {
                     spawn_offload(self.app, job, move |response| {
                         reply.send(Done::Response(response), trace);
                     });
-                    return;
+                    false
                 }
-            }
+            };
+            self.next_ticket += 1;
+            conn.state = ConnState::Dispatched {
+                ticket,
+                started,
+                wants_close,
+                trace,
+                predict,
+            };
+            // No interest while waiting: a level-triggered fd with
+            // buffered pipelined bytes would spin.
+            set_interest(&self.epoll, conn, token, 0);
+            self.pending.insert(ticket, token);
+            return;
         }
     }
 
@@ -610,7 +596,6 @@ impl<A: App> Reactor<'_, A> {
         trace.set_status(response.status);
         self.app
             .engine()
-            .metrics
             .latency_ns
             .record_secs(started.elapsed().as_secs_f64());
         let Some(conn) = self.slab.get_mut(token) else {
@@ -792,7 +777,7 @@ impl<A: App> Reactor<'_, A> {
     /// Best-effort JSON 500 after a panicked per-connection handler, then
     /// close.
     fn fail_connection(&mut self, token: u64) {
-        self.app.engine().metrics.panics.inc();
+        self.app.engine().panics.inc();
         if let Some(conn) = self.slab.get_mut(token) {
             let mut buf = Vec::new();
             Response::error(500, "connection handler panicked").render_into(&mut buf, false);

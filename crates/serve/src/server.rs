@@ -1,5 +1,5 @@
 //! The HTTP server: configuration, shared state, routing, and the
-//! graceful-drain state machine. [`Shared`] is the [`App`] the connection
+//! graceful-drain state machine. `Shared` is the [`App`] the connection
 //! engine ([`crate::engine`], the epoll reactor) serves.
 //!
 //! # Request lifecycle
@@ -151,14 +151,36 @@ impl App for Shared {
         route(self, request.method, request.path, request.body)
     }
 
+    /// SIGUSR1 dumps the flight recorder to [`obs::trace::dump_path`];
+    /// SIGHUP stages a reload of the latest registry version, whose gate
+    /// runs off the loop and logs its decision.
     fn on_turn(shared: &Arc<Shared>) {
-        maybe_dump_on_signal();
-        maybe_reload_on_signal(shared);
+        if signal::take_usr1() {
+            let path = obs::trace::dump_path();
+            match obs::trace::dump_to_file(&path) {
+                Ok(()) => eprintln!(
+                    "neusight-serve: flight recorder dumped to {}",
+                    path.display()
+                ),
+                Err(e) => eprintln!("neusight-serve: flight recorder dump failed: {e}"),
+            }
+        }
+        if signal::take_hup() {
+            let reload = reload_offload(ReloadRequest::default());
+            spawn_offload(shared, reload, |response| {
+                eprintln!(
+                    "neusight-serve: SIGHUP reload -> {} {}",
+                    response.status,
+                    String::from_utf8_lossy(&response.body)
+                );
+            });
+        }
     }
 
     /// The client's propagated `X-Deadline-Ms` caps the configured
     /// deadline, and an already-expired budget answers 504 without
-    /// burning a dispatcher slot.
+    /// burning a dispatcher slot. A full queue answers 429 with an honest
+    /// `Retry-After`.
     fn admit(
         &self,
         request: PredictRequest,
@@ -166,15 +188,43 @@ impl App for Shared {
         reply: Reply,
         trace: obs::TraceContext,
     ) -> Result<Instant, Response> {
-        let deadline = Instant::now() + request_budget(self, deadline_ms)?;
-        admit(self, request, deadline, reply, trace)?;
-        Ok(deadline)
+        let budget_ms = crate::deadline::effective_budget_ms(self.config.deadline, deadline_ms);
+        if budget_ms == 0 {
+            self.metrics.timeouts.inc();
+            obs::metrics::counter("serve.deadline.expired_on_arrival").inc();
+            return Err(Response::error(504, "deadline exceeded"));
+        }
+        let enqueued = Instant::now();
+        let deadline = enqueued + Duration::from_millis(budget_ms);
+        let job = Job {
+            request,
+            enqueued,
+            deadline,
+            reply,
+            trace,
+        };
+        match self.queue.try_push(job) {
+            Ok(depth) => {
+                self.inflight_add();
+                #[allow(clippy::cast_precision_loss)]
+                self.metrics.queue_depth.set(depth as f64);
+                Ok(deadline)
+            }
+            Err(QueueFull(_rejected)) => {
+                self.metrics.rejected_429.inc();
+                Err(Response::error(429, "prediction queue is full")
+                    .with_header("Retry-After", retry_after_secs(self).to_string()))
+            }
+        }
     }
 
+    /// Renders a successful predict body, stamping the
+    /// `X-Model-Version` header.
     fn predict_done(&self, result: ReplyResult) -> Response {
         self.inflight_sub();
         match result {
-            Ok(body) => predict_response(self, &body),
+            Ok(body) => Response::json(200, body.to_string())
+                .with_header("X-Model-Version", self.service.model_version()),
             Err(e) => Response::error(e.status, &e.message),
         }
     }
@@ -394,42 +444,6 @@ impl RunningServer {
     }
 }
 
-/// Dumps the flight recorder to [`obs::trace::dump_path`] if SIGUSR1
-/// arrived since the last poll. Called every event-loop turn.
-fn maybe_dump_on_signal() {
-    if !signal::take_usr1() {
-        return;
-    }
-    let path = obs::trace::dump_path();
-    match obs::trace::dump_to_file(&path) {
-        Ok(()) => eprintln!(
-            "neusight-serve: flight recorder dumped to {}",
-            path.display()
-        ),
-        Err(e) => eprintln!("neusight-serve: flight recorder dump failed: {e}"),
-    }
-}
-
-/// Stages a reload of the latest registry version if SIGHUP arrived
-/// since the last poll. Called every event-loop turn; the gate runs off
-/// the loop (see [`reload_offload`]) and logs its decision.
-fn maybe_reload_on_signal(shared: &Arc<Shared>) {
-    if !signal::take_hup() {
-        return;
-    }
-    spawn_offload(
-        shared,
-        reload_offload(ReloadRequest::default()),
-        |response| {
-            eprintln!(
-                "neusight-serve: SIGHUP reload -> {} {}",
-                response.status,
-                String::from_utf8_lossy(&response.body)
-            );
-        },
-    );
-}
-
 /// The reload gate (registry load, golden sanity, two golden-MAPE passes
 /// — a few hundred milliseconds on a standard predictor) as work for a
 /// short-lived thread, so the event loop never blocks on it.
@@ -550,37 +564,6 @@ fn parse_predict_body(body: &[u8]) -> Result<PredictRequest, Response> {
         .map_err(|e| Response::error(400, &format!("bad predict request: {e}")))
 }
 
-/// Admits a parsed predict request to the dispatcher queue. On a full
-/// queue, returns the 429 (with `Retry-After`) to send instead.
-fn admit(
-    shared: &Shared,
-    request: PredictRequest,
-    deadline: Instant,
-    reply: dispatch::Reply,
-    trace: obs::TraceContext,
-) -> Result<(), Response> {
-    let job = Job {
-        request,
-        enqueued: Instant::now(),
-        deadline,
-        reply,
-        trace,
-    };
-    match shared.queue.try_push(job) {
-        Ok(depth) => {
-            shared.inflight_add();
-            #[allow(clippy::cast_precision_loss)]
-            shared.metrics.queue_depth.set(depth as f64);
-            Ok(())
-        }
-        Err(QueueFull(_rejected)) => {
-            shared.metrics.rejected_429.inc();
-            Err(Response::error(429, "prediction queue is full")
-                .with_header("Retry-After", retry_after_secs(shared).to_string()))
-        }
-    }
-}
-
 /// Honest backpressure hint for `Retry-After`: derived from the live
 /// queue-sojourn signal (roughly "one backlog drain, doubled for
 /// margin") rather than a constant, so clients back off proportionally
@@ -644,23 +627,4 @@ fn metrics_page(shared: &Shared) -> Response {
         shared.service.model_epoch(),
     ));
     Response::text(200, text)
-}
-
-/// Renders a successful predict body, stamping the `X-Model-Version`
-/// header.
-fn predict_response(shared: &Shared, body: &str) -> Response {
-    Response::json(200, body.to_string())
-        .with_header("X-Model-Version", shared.service.model_version())
-}
-
-/// The request's enforced budget, or the immediate `504` for a request
-/// that arrived already out of budget.
-fn request_budget(shared: &Shared, deadline_ms: Option<u64>) -> Result<Duration, Response> {
-    let budget_ms = crate::deadline::effective_budget_ms(shared.config.deadline, deadline_ms);
-    if budget_ms == 0 {
-        shared.metrics.timeouts.inc();
-        obs::metrics::counter("serve.deadline.expired_on_arrival").inc();
-        return Err(Response::error(504, "deadline exceeded"));
-    }
-    Ok(Duration::from_millis(budget_ms))
 }
