@@ -1,16 +1,14 @@
 //! The router process: its routes, fleet aggregation pages, and the
 //! prober thread.
 //!
-//! Downstream connections run on serve's connection engine
-//! ([`neusight_serve::engine`], Linux-only): the router is an
-//! [`App`] whose local routes (`/healthz`, 404/405) answer on the event
-//! loop, and whose routes that talk to a replica — predict, rolling
-//! reload, the `/metrics` fan-out, `/v1/models`, `/v1/admin/model` — are
-//! offloaded to a short-lived thread each. There the exchange is a
-//! blocking one over a pooled keep-alive [`Client`] taken from the
-//! replica's own pool (see `Upstream::checkout`), so the steady-state
-//! hop adds a hash + one pooled socket write, not a dial. Predict traffic
-//! routes by [`RouteKey`] over the fleet's consistent-hash ring.
+//! The router is an [`App`] on serve's connection engine
+//! ([`neusight_serve::engine`], Linux-only): `/healthz` and 404/405
+//! answer on the event loop, and every route that talks to a replica runs
+//! on a short-lived thread of its own. There the exchange is a blocking
+//! one over a keep-alive [`Client`] from that replica's pool, so the
+//! steady-state hop adds a hash + one pooled socket write, not a dial.
+//! Predict traffic routes by [`RouteKey`] over the fleet's
+//! consistent-hash ring.
 
 use crate::gossip;
 use crate::hedge::{HedgeConfig, Hedger};

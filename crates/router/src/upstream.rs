@@ -80,18 +80,14 @@ impl Upstream {
         }
     }
 
-    /// The most recently returned pooled connection, if one is fresh.
+    /// The most recently returned pooled connection, if one is fresh;
+    /// stale ones are closed.
     #[must_use]
     pub(crate) fn checkout(&self) -> Option<Client> {
         let mut pool = recover_poison(self.pool.lock());
-        match pool.pop() {
-            Some((returned, client)) if returned.elapsed() < POOL_IDLE => Some(client),
-            // The newest entry is stale, so every older one is too.
-            _ => {
-                pool.clear();
-                None
-            }
-        }
+        let stale = pool.partition_point(|(returned, _)| returned.elapsed() >= POOL_IDLE);
+        pool.drain(..stale);
+        pool.pop().map(|(_, client)| client)
     }
 
     /// Returns a connection that finished a clean exchange to the pool,
@@ -433,6 +429,24 @@ mod tests {
         assert_eq!(fleet.get(&owner).unwrap().addr(), fresh);
         // Routing is name-keyed: the re-addressed replica keeps its shard.
         assert_eq!(fleet.route(&key).expect("owner").name, owner);
+    }
+
+    #[test]
+    fn set_addr_empties_the_pool_and_never_repools_the_old_port() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let old = listener.local_addr().expect("addr");
+        let fleet = Fleet::new(vec![("replica-0".to_owned(), old)]);
+        let up = fleet.get("replica-0").unwrap();
+        up.checkin(Client::connect(old).expect("connect"));
+        let in_flight = up.checkout().expect("a fresh pooled connection");
+        up.checkin(Client::connect(old).expect("connect"));
+        fleet.set_addr("replica-0", "127.0.0.1:19999".parse().unwrap());
+        assert!(up.checkout().is_none(), "readdressing empties the pool");
+        up.checkin(in_flight);
+        assert!(
+            up.checkout().is_none(),
+            "a socket to the old port is not re-pooled"
+        );
     }
 
     #[test]

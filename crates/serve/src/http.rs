@@ -24,7 +24,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// `X-Deadline-Ms`, so no header vector is materialized.
 #[derive(Debug, Clone, Copy)]
 pub struct HeadView<'a> {
-    /// Method exactly as sent (match with [`HeadView::method_is`]).
+    /// Method exactly as sent.
     pub method: &'a str,
     /// Request path without the query string.
     pub path: &'a str,
@@ -40,16 +40,6 @@ pub struct HeadView<'a> {
     /// parseable — an unparseable value is treated as absent rather than
     /// rejected, so a buggy caller degrades to the server default).
     pub deadline_ms: Option<u64>,
-}
-
-impl HeadView<'_> {
-    /// Case-insensitive method match (HTTP methods are case-sensitive per
-    /// spec, but the previous parser upper-cased, so this preserves its
-    /// lenience bit-for-bit).
-    #[must_use]
-    pub fn method_is(&self, method: &str) -> bool {
-        self.method.eq_ignore_ascii_case(method)
-    }
 }
 
 /// Outcome of [`parse_head`].
@@ -306,7 +296,7 @@ mod tests {
         let HeadParse::Complete(view) = parse_head(buf) else {
             panic!("expected complete head");
         };
-        assert!(view.method_is("POST"));
+        assert_eq!(view.method, "post");
         assert_eq!(view.path, "/v1/predict");
         assert_eq!(view.content_length, 12);
         assert!(view.wants_close);

@@ -95,8 +95,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Hot-path HTTP metric handles (the engine keeps its own connection
-/// and latency metrics).
+/// Hot-path HTTP metric handles.
 pub(crate) struct HttpMetrics {
     pub(crate) requests: Arc<obs::Counter>,
     pub(crate) rejected_429: Arc<obs::Counter>,
