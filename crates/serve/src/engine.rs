@@ -166,7 +166,8 @@ pub(crate) fn spawn_offload<A: App>(
     let app = Arc::clone(app);
     thread::spawn(move || {
         let engine = app.engine();
-        let response = guard::catch(engine.name, || job(&app)).unwrap_or_else(|_| {
+        let label = format!("{}.offload", engine.name);
+        let response = guard::catch(&label, || job(&app)).unwrap_or_else(|_| {
             engine.panics.inc();
             Response::error(500, "handler panicked")
         });
