@@ -886,8 +886,8 @@ fn main() {
         (None, None) => unreachable!(),
     };
 
-    // Warmup: populate the memo cache (and fault in every graph) so the
-    // measured window sees the steady state.
+    // Warmup: populate the response memo so the measured window sees
+    // the steady state.
     let mut warm = Client::connect(addr).expect("connect for warmup");
     for body in REQUESTS {
         let response = warm.post_json("/v1/predict", body).expect("warmup request");

@@ -232,7 +232,6 @@ fn print_usage() {
          global flags:\n\
            --predictor FILE      predictor path (default neusight-predictor.json)\n\
            --cache-capacity N    bound the prediction memo cache (entries)\n\
-           --cache-shards N      prediction-cache lock shards (default 16)\n\
            --fault-spec SPEC     arm failpoints, e.g. data.collect.device=0.2\n\
            --fault-seed N        deterministic fault schedule seed\n\n\
          observability (any command):\n\
@@ -261,15 +260,10 @@ fn load_or_train(args: &Args) -> Result<NeuSight, Box<dyn std::error::Error>> {
     Ok(ns)
 }
 
-/// Applies the global `--cache-shards` / `--cache-capacity` flags to a
-/// loaded predictor (shared by the bare-file and registry load paths).
+/// Applies the global `--cache-capacity` flag to a loaded predictor
+/// (shared by the bare-file and registry load paths). A reload keeps
+/// the serving generation's capacity (`PredictService::install_model`).
 fn apply_cache_flags(args: &Args, ns: &NeuSight) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(shards) = args.option("cache-shards") {
-        let shards: usize = shards
-            .parse()
-            .map_err(|_| ArgError(format!("invalid value `{shards}` for --cache-shards")))?;
-        ns.set_prediction_cache_shards(shards);
-    }
     if let Some(capacity) = args.option("cache-capacity") {
         let capacity: usize = capacity
             .parse()
@@ -1078,7 +1072,6 @@ struct ReplicaSpec {
     predictor: Option<String>,
     max_batch: Option<String>,
     cache_capacity: Option<String>,
-    cache_shards: Option<String>,
     fault_spec: Option<String>,
     fault_seed: Option<String>,
     models_dir: Option<String>,
@@ -1091,7 +1084,6 @@ impl ReplicaSpec {
             predictor: owned("predictor"),
             max_batch: owned("max-batch"),
             cache_capacity: owned("cache-capacity"),
-            cache_shards: owned("cache-shards"),
             fault_spec: owned("fault-spec"),
             fault_seed: owned("fault-seed"),
             models_dir: owned("models-dir"),
@@ -1119,7 +1111,6 @@ fn spawn_replica(
     forward(&mut command, "--predictor", &spec.predictor);
     forward(&mut command, "--max-batch", &spec.max_batch);
     forward(&mut command, "--cache-capacity", &spec.cache_capacity);
-    forward(&mut command, "--cache-shards", &spec.cache_shards);
     forward(&mut command, "--fault-spec", &spec.fault_spec);
     forward(&mut command, "--fault-seed", &spec.fault_seed);
     forward(&mut command, "--models-dir", &spec.models_dir);

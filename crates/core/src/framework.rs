@@ -10,14 +10,13 @@ use neusight_gpu::{
 };
 use neusight_graph::{Graph, Phase};
 use neusight_obs as obs;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Training configuration for the whole framework: one
@@ -129,283 +128,138 @@ fn record_family_latency(family: &str, latency_s: f64) {
     obs::metrics::histogram(&format!("core.predicted_latency_ns.{family}")).record_secs(latency_s);
 }
 
-/// Default shard count for the prediction cache. The effective count is
-/// capped so that every shard gets at least [`MIN_ENTRIES_PER_SHARD`]
-/// entries of budget — tiny caches (unit tests, `--cache-capacity 4`)
-/// collapse to a single shard and keep exact global FIFO semantics.
-pub const DEFAULT_PREDICTION_CACHE_SHARDS: usize = 16;
-
-/// Minimum per-shard capacity before the cache stops splitting further.
-const MIN_ENTRIES_PER_SHARD: usize = 1024;
-
-/// Exact point-in-time accounting for one cache shard. The invariant
-/// `inserts - evictions == entries` holds at any quiescent point because
-/// all three are updated under the shard's own lock.
+/// Exact point-in-time accounting for the prediction cache. The
+/// invariant `inserts - evictions == entries` holds between clears
+/// because all of them are updated under the cache's one lock.
+///
+/// The cache is one FIFO map, so
+/// [`NeuSight::prediction_cache_shard_stats`] returns one of these.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheShardStats {
-    /// Live entries in this shard.
+    /// Live entries.
     pub entries: usize,
-    /// This shard's share of the total capacity.
+    /// The entry bound.
     pub capacity: usize,
-    /// Lookup hits since the last reshard.
+    /// Lookup hits.
     pub hits: u64,
-    /// Lookup misses since the last reshard.
+    /// Lookup misses.
     pub misses: u64,
-    /// FIFO evictions since the last reshard.
+    /// FIFO evictions, including those from shrinking the capacity.
     pub evictions: u64,
-    /// Inserts since the last reshard.
+    /// Inserts.
     pub inserts: u64,
 }
 
-/// One cache shard: a small FIFO map behind its own mutex, plus ungated
-/// atomic counters (unlike the obs counters, these count even while
-/// observability is disabled, so occupancy accounting is always exact).
-#[derive(Debug, Default)]
-struct Shard {
-    inner: Mutex<ShardInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserts: AtomicU64,
-}
-
-/// Mutable state of one shard. Values carry a global insertion sequence
-/// number so a reshard can rebuild the exact FIFO order across shards.
-#[derive(Debug, Default)]
-struct ShardInner {
-    map: HashMap<(u64, OpDesc), (f64, u64)>,
-    /// Insertion order of this shard's live entries, oldest first.
+/// The cache's state: a FIFO map plus its own counters. Unlike the obs
+/// counters these count even while observability is disabled, so each
+/// instance's accounting is exact and independent of other instances.
+#[derive(Debug)]
+struct CacheInner {
+    map: HashMap<(u64, OpDesc), f64>,
+    /// Insertion order of the live entries, oldest first.
     order: VecDeque<(u64, OpDesc)>,
-    capacity: usize,
+    /// Capacity and counts; `entries` is read from `map` instead.
+    stats: CacheShardStats,
 }
 
-/// The shard layout: rebuilt (rarely) when capacity or shard count
-/// changes; read-locked (cheaply) on every cache access.
-#[derive(Debug)]
-struct CacheState {
-    shards: Box<[Shard]>,
-    mask: u64,
-    total_capacity: usize,
-    configured_shards: usize,
+impl CacheInner {
+    fn evict_over_capacity(&mut self) {
+        while self.map.len() > self.stats.capacity {
+            let Some(key) = self.order.pop_front() else {
+                break;
+            };
+            if self.map.remove(&key).is_some() {
+                self.stats.evictions += 1;
+                core_metrics().cache_eviction.inc();
+            }
+        }
+    }
 }
 
-#[derive(Debug)]
-struct PredictionCacheInner {
-    state: RwLock<CacheState>,
-    /// Total live entries, maintained by atomic add/sub under shard locks.
-    len: AtomicUsize,
-    /// Monotonic insertion counter, shared by all shards.
-    seq: AtomicU64,
-}
-
-/// The shared prediction cache, sharded by `(GPU fingerprint, OpDesc)`
-/// hash.
+/// The shared `(GPU fingerprint, OpDesc)` prediction cache: one FIFO map
+/// behind one lock.
 ///
 /// Lives behind an `Arc` so clones of a trained framework share one cache
 /// (prediction is pure, so sharing is value-transparent). Skipped by serde:
-/// a loaded framework starts cold.
-///
-/// The hot path takes one uncontended `RwLock` read (the shard layout)
-/// plus one shard mutex; concurrent lookups for different kernels hit
-/// different shards and proceed in parallel — the serving layer's
-/// replacement for the former single global `Mutex`.
+/// a loaded framework starts cold. One lock is enough because a server's
+/// only caller is its one dispatcher thread.
 #[derive(Debug, Clone)]
-struct PredictionCache(Arc<PredictionCacheInner>);
-
-/// Largest power of two `<= x` (x >= 1).
-fn prev_power_of_two(x: usize) -> usize {
-    debug_assert!(x >= 1);
-    1 << (usize::BITS - 1 - x.leading_zeros())
-}
-
-/// Effective shard count for a capacity: the configured count (rounded up
-/// to a power of two), capped so each shard is budgeted at least
-/// [`MIN_ENTRIES_PER_SHARD`] entries. Capacities below the threshold use
-/// one shard, which preserves exact global FIFO order and counts.
-fn effective_shards(total_capacity: usize, configured: usize) -> usize {
-    let configured = configured.clamp(1, 1024).next_power_of_two();
-    if total_capacity < 2 * MIN_ENTRIES_PER_SHARD {
-        return 1;
-    }
-    configured.min(prev_power_of_two(total_capacity / MIN_ENTRIES_PER_SHARD))
-}
-
-impl CacheState {
-    fn new(total_capacity: usize, configured_shards: usize) -> CacheState {
-        let count = effective_shards(total_capacity, configured_shards);
-        let per_shard = total_capacity / count;
-        let shards: Box<[Shard]> = (0..count)
-            .map(|_| Shard {
-                inner: Mutex::new(ShardInner {
-                    capacity: per_shard,
-                    ..ShardInner::default()
-                }),
-                ..Shard::default()
-            })
-            .collect();
-        CacheState {
-            shards,
-            mask: (count - 1) as u64,
-            total_capacity,
-            configured_shards,
-        }
-    }
-
-    fn shard_for(&self, hash: u64) -> &Shard {
-        &self.shards[(hash & self.mask) as usize]
-    }
-}
+struct PredictionCache(Arc<Mutex<CacheInner>>);
 
 impl Default for PredictionCache {
     fn default() -> PredictionCache {
-        PredictionCache(Arc::new(PredictionCacheInner {
-            state: RwLock::new(CacheState::new(
-                DEFAULT_PREDICTION_CACHE_CAPACITY,
-                DEFAULT_PREDICTION_CACHE_SHARDS,
-            )),
-            len: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-        }))
+        PredictionCache::with_capacity(DEFAULT_PREDICTION_CACHE_CAPACITY)
     }
 }
 
-/// Shard-selection hash for a cache key. Independent of the per-shard
-/// `HashMap`'s own hashing (different `DefaultHasher` seed positions), so
-/// shard skew does not correlate with in-shard collisions.
-fn cache_key_hash(fp: u64, op: &OpDesc) -> u64 {
-    let mut h = DefaultHasher::new();
-    fp.hash(&mut h);
-    op.hash(&mut h);
-    h.finish()
-}
-
 impl PredictionCache {
-    /// Looks up one `(GPU, op)` key, counting the hit/miss on the owning
-    /// shard (always) and the global obs counters (when enabled).
+    fn with_capacity(capacity: usize) -> PredictionCache {
+        PredictionCache(Arc::new(Mutex::new(CacheInner {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            stats: CacheShardStats {
+                capacity,
+                ..CacheShardStats::default()
+            },
+        })))
+    }
+
+    /// Looks up one `(GPU, op)` key, counting the hit/miss on this cache
+    /// (always) and the global obs counters (when enabled).
     fn get(&self, fp: u64, op: &OpDesc) -> Option<f64> {
-        let state = self.0.state.read();
-        let shard = state.shard_for(cache_key_hash(fp, op));
-        let found = shard.inner.lock().map.get(&(fp, op.clone())).map(|e| e.0);
+        let mut inner = self.0.lock();
+        let found = inner.map.get(&(fp, op.clone())).copied();
         if found.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            inner.stats.hits += 1;
             core_metrics().cache_hit.inc();
         } else {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            inner.stats.misses += 1;
             core_metrics().cache_miss.inc();
         }
         found
     }
 
-    /// Inserts if absent, evicting this shard's oldest entries once over
-    /// its budget. All occupancy accounting happens under the shard lock,
-    /// so `inserts - evictions == entries` is exact per shard.
+    /// Inserts if absent, evicting the oldest entries once over capacity.
     fn insert(&self, fp: u64, op: &OpDesc, latency_s: f64) {
-        let state = self.0.state.read();
-        let shard = state.shard_for(cache_key_hash(fp, op));
-        let mut inner = shard.inner.lock();
-        if inner.capacity == 0 {
-            return;
-        }
+        let mut inner = self.0.lock();
         let key = (fp, op.clone());
-        if inner.map.contains_key(&key) {
+        if inner.stats.capacity == 0 || inner.map.contains_key(&key) {
             return;
         }
-        let seq = self.0.seq.fetch_add(1, Ordering::Relaxed);
         inner.order.push_back(key.clone());
-        inner.map.insert(key, (latency_s, seq));
-        shard.inserts.fetch_add(1, Ordering::Relaxed);
-        self.0.len.fetch_add(1, Ordering::Relaxed);
-        self.evict_shard_over_capacity(shard, &mut inner);
-    }
-
-    fn evict_shard_over_capacity(&self, shard: &Shard, inner: &mut ShardInner) {
-        while inner.map.len() > inner.capacity {
-            let Some(key) = inner.order.pop_front() else {
-                break;
-            };
-            if inner.map.remove(&key).is_some() {
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-                self.0.len.fetch_sub(1, Ordering::Relaxed);
-                core_metrics().cache_eviction.inc();
-            }
-        }
+        inner.map.insert(key, latency_s);
+        inner.stats.inserts += 1;
+        inner.evict_over_capacity();
     }
 
     fn len(&self) -> usize {
-        self.0.len.load(Ordering::Relaxed)
+        self.0.lock().map.len()
     }
 
     fn capacity(&self) -> usize {
-        self.0.state.read().total_capacity
+        self.0.lock().stats.capacity
     }
 
-    fn shard_count(&self) -> usize {
-        self.0.state.read().shards.len()
-    }
-
-    fn clear(&self) {
-        let state = self.0.state.read();
-        for shard in &state.shards {
-            let mut inner = shard.inner.lock();
-            let removed = inner.map.len();
-            inner.map.clear();
-            inner.order.clear();
-            self.0.len.fetch_sub(removed, Ordering::Relaxed);
-        }
-    }
-
-    /// Rebuilds the shard layout for a new capacity and/or configured
-    /// shard count, preserving entries (newest survive) and counting
-    /// overflow as evictions. Holds the write lock, so it is mutually
-    /// exclusive with all lookups; capacity changes are rare
-    /// (startup / tests), lookups are the hot path.
-    fn reshard(&self, total_capacity: usize, configured_shards: usize) {
-        let mut state = self.0.state.write();
-        // Drain every live entry with its insertion sequence number.
-        let mut entries: Vec<((u64, OpDesc), (f64, u64))> = Vec::with_capacity(self.len());
-        for shard in &state.shards {
-            let mut inner = shard.inner.lock();
-            entries.extend(inner.map.drain());
-            inner.order.clear();
-        }
-        self.0.len.store(0, Ordering::Relaxed);
-        // Oldest first, so re-inserting replays the exact FIFO history.
-        entries.sort_unstable_by_key(|(_, (_, seq))| *seq);
-        *state = CacheState::new(total_capacity, configured_shards);
-        for ((fp, op), (lat, seq)) in entries {
-            let shard = state.shard_for(cache_key_hash(fp, &op));
-            let mut inner = shard.inner.lock();
-            if inner.capacity == 0 {
-                core_metrics().cache_eviction.inc();
-                continue;
-            }
-            inner.order.push_back((fp, op.clone()));
-            inner.map.insert((fp, op), (lat, seq));
-            self.0.len.fetch_add(1, Ordering::Relaxed);
-            self.evict_shard_over_capacity(shard, &mut inner);
-        }
-        drop(state);
+    fn set_capacity(&self, capacity: usize) {
+        let mut inner = self.0.lock();
+        inner.stats.capacity = capacity;
+        inner.evict_over_capacity();
+        drop(inner);
         self.publish_size();
     }
 
-    /// Per-shard accounting snapshot, index-aligned with the shard array.
-    fn shard_stats(&self) -> Vec<CacheShardStats> {
-        let state = self.0.state.read();
-        state
-            .shards
-            .iter()
-            .map(|shard| {
-                let inner = shard.inner.lock();
-                CacheShardStats {
-                    entries: inner.map.len(),
-                    capacity: inner.capacity,
-                    hits: shard.hits.load(Ordering::Relaxed),
-                    misses: shard.misses.load(Ordering::Relaxed),
-                    evictions: shard.evictions.load(Ordering::Relaxed),
-                    inserts: shard.inserts.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
+    fn clear(&self) {
+        let mut inner = self.0.lock();
+        inner.map.clear();
+        inner.order.clear();
+    }
+
+    fn stats(&self) -> CacheShardStats {
+        let inner = self.0.lock();
+        CacheShardStats {
+            entries: inner.map.len(),
+            ..inner.stats.clone()
+        }
     }
 
     #[allow(clippy::cast_precision_loss)]
@@ -599,7 +453,7 @@ impl NeuSight {
         self.cache.len()
     }
 
-    /// The prediction cache's entry bound (summed across shards).
+    /// The prediction cache's entry bound.
     #[must_use]
     pub fn prediction_cache_capacity(&self) -> usize {
         self.cache.capacity()
@@ -609,57 +463,18 @@ impl NeuSight {
     /// new capacity immediately. Evictions increment the
     /// `core.predict_cache.eviction` counter. A capacity of 0 disables
     /// memoization entirely.
-    ///
-    /// Shrinking may also shrink the shard count (see
-    /// [`NeuSight::set_prediction_cache_shards`]); surviving entries keep
-    /// their original insertion order.
     pub fn set_prediction_cache_capacity(&self, capacity: usize) {
-        let shards = self.cache.0.state.read().configured_shards;
-        self.cache.reshard(capacity, shards);
+        self.cache.set_capacity(capacity);
     }
 
-    /// Number of live cache shards. Lookups for different kernels that
-    /// land in different shards never contend.
-    #[must_use]
-    pub fn prediction_cache_shards(&self) -> usize {
-        self.cache.shard_count()
-    }
-
-    /// Requests a shard count (rounded up to a power of two, clamped to
-    /// `1..=1024`). The effective count is additionally capped so each
-    /// shard keeps a useful FIFO window — tiny capacities always use one
-    /// shard, preserving exact global insertion-order eviction.
-    pub fn set_prediction_cache_shards(&self, shards: usize) {
-        let capacity = self.cache.capacity();
-        self.cache.reshard(capacity, shards.max(1));
-    }
-
-    /// Exact per-shard occupancy and hit/miss/eviction/insert counts.
-    /// Unlike the obs counters these are unconditional, so
-    /// `inserts - evictions == entries` holds per shard at any quiescent
-    /// point.
+    /// Exact occupancy and hit/miss/eviction/insert counts of this
+    /// instance's cache (one entry: the cache is not sharded). Unlike
+    /// the obs counters these are unconditional and per instance, so
+    /// `inserts - evictions == entries` holds at any quiescent point
+    /// between clears.
     #[must_use]
     pub fn prediction_cache_shard_stats(&self) -> Vec<CacheShardStats> {
-        self.cache.shard_stats()
-    }
-
-    /// Publishes per-shard cache gauges through obs (no-op while
-    /// observability is disabled): `core.predict_cache.entries.shard<i>`,
-    /// `.hits.shard<i>`, `.evictions.shard<i>` plus `.total` aggregates,
-    /// and the legacy `core.predict_cache.size` gauge.
-    #[allow(clippy::cast_precision_loss)]
-    pub fn publish_cache_metrics(&self) {
-        if !obs::enabled() {
-            return;
-        }
-        let stats = self.cache.shard_stats();
-        let entries: Vec<f64> = stats.iter().map(|s| s.entries as f64).collect();
-        let hits: Vec<f64> = stats.iter().map(|s| s.hits as f64).collect();
-        let evictions: Vec<f64> = stats.iter().map(|s| s.evictions as f64).collect();
-        obs::metrics::set_sharded_gauges("core.predict_cache.entries", &entries);
-        obs::metrics::set_sharded_gauges("core.predict_cache.hits", &hits);
-        obs::metrics::set_sharded_gauges("core.predict_cache.evictions", &evictions);
-        self.cache.publish_size();
+        vec![self.cache.stats()]
     }
 
     /// Predicts per-device latency of a whole dataflow graph by summing
@@ -754,8 +569,6 @@ impl NeuSight {
         let mut latencies: Vec<Option<f64>> = vec![None; unique.len()];
         {
             let _stage = obs::span("cache_probe");
-            // Per-key sharded lookups: concurrent batch requests probing
-            // different kernels touch different shard locks.
             for (slot, (gpu, op)) in unique.iter().enumerate() {
                 latencies[slot] = self.cache.get(gpu_fps[*gpu], op);
             }
@@ -906,16 +719,10 @@ impl NeuSight {
         // Clones share the prediction cache behind an `Arc` on the
         // premise that prediction is pure. Mutating the weights breaks
         // that premise, so detach into a private cold cache (same
-        // capacity layout) instead of clearing the shared one — clearing
-        // would still let this instance's now-divergent predictions
-        // poison siblings (and theirs poison us).
-        let (capacity, shards) = {
-            let state = self.cache.0.state.read();
-            (state.total_capacity, state.configured_shards)
-        };
-        let fresh = PredictionCache::default();
-        fresh.reshard(capacity, shards);
-        self.cache = fresh;
+        // capacity) instead of clearing the shared one — clearing would
+        // still let this instance's now-divergent predictions poison
+        // siblings (and theirs poison us).
+        self.cache = PredictionCache::with_capacity(self.cache.capacity());
     }
 }
 
@@ -1076,20 +883,18 @@ mod tests {
         let spec = catalog::gpu("T4").unwrap();
         ns.set_prediction_cache_capacity(4);
         assert_eq!(ns.prediction_cache_capacity(), 4);
-        // Eviction counting is observable only while obs is enabled; the
-        // counter is global, but only this instance (capacity 4) evicts.
-        let evictions = neusight_obs::metrics::counter("core.predict_cache.eviction");
-        let before = evictions.get();
-        neusight_obs::set_enabled(true);
         let ops: Vec<OpDesc> = (1..=10)
             .map(|i| OpDesc::embedding(128 * i, 64, 1000))
             .collect();
         for op in &ops {
             ns.predict_op(op, &spec).unwrap();
         }
-        neusight_obs::set_enabled(false);
         assert_eq!(ns.prediction_cache_len(), 4);
-        assert_eq!(evictions.get() - before, 6, "10 inserts into capacity 4");
+        // The instance's own count: other tests evicting concurrently
+        // move the global obs counter, never this one.
+        let stats = ns.prediction_cache_shard_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].evictions, 6, "10 inserts into capacity 4");
         // Newest entries survive (FIFO evicts oldest first): the last op
         // is a hit, the first must re-miss but still match bitwise.
         let warm = ns.predict_op(&ops[9], &spec).unwrap();
@@ -1119,13 +924,23 @@ mod tests {
     fn shrinking_capacity_evicts_immediately() {
         let ns = tiny_framework();
         let spec = catalog::gpu("V100").unwrap();
-        for i in 1..=8 {
-            ns.predict_op(&OpDesc::embedding(64 * i, 32, 500), &spec)
-                .unwrap();
+        let ops: Vec<OpDesc> = (1..=8)
+            .map(|i| OpDesc::embedding(64 * i, 32, 500))
+            .collect();
+        for op in &ops {
+            ns.predict_op(op, &spec).unwrap();
         }
         assert_eq!(ns.prediction_cache_len(), 8);
         ns.set_prediction_cache_capacity(3);
         assert_eq!(ns.prediction_cache_len(), 3);
+        assert_eq!(ns.prediction_cache_shard_stats()[0].evictions, 5);
+        // Oldest first: the newest op is still a hit, the oldest re-misses.
+        let hits = |ns: &NeuSight| ns.prediction_cache_shard_stats()[0].hits;
+        let before = hits(&ns);
+        ns.predict_op(&ops[7], &spec).unwrap();
+        assert_eq!(hits(&ns), before + 1, "newest entry survived the shrink");
+        ns.predict_op(&ops[0], &spec).unwrap();
+        assert_eq!(hits(&ns), before + 1, "oldest entry was evicted");
         // predict_graph still fills and respects the bound.
         let graph = inference_graph(&config::bert_large(), 2);
         ns.predict_graph(&graph, &spec).unwrap();
@@ -1133,16 +948,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_occupancy_accounting_is_exact() {
-        // Big enough for a real multi-shard layout: 8192 entries over 4
-        // shards of 2048 each.
+    fn cache_occupancy_accounting_is_exact_under_8_threads() {
         let ns = tiny_framework();
         let spec = catalog::gpu("T4").unwrap();
         ns.set_prediction_cache_capacity(8192);
-        ns.set_prediction_cache_shards(4);
-        assert_eq!(ns.prediction_cache_shards(), 4);
         // Insert well past capacity from 8 threads so inserts and
-        // evictions interleave across shards.
+        // evictions interleave.
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let ns = ns.clone();
@@ -1155,64 +966,21 @@ mod tests {
                 });
             }
         });
-        // The eviction-race fix: per-shard counters are updated under the
-        // shard lock, so inserts - evictions == entries exactly, per
-        // shard, and the shard sum matches the global length.
+        // The eviction-race fix: the counters are updated under the
+        // cache's lock, so inserts - evictions == entries exactly.
         let stats = ns.prediction_cache_shard_stats();
-        let mut total_entries = 0usize;
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(
-                s.inserts - s.evictions,
-                s.entries as u64,
-                "shard {i} occupancy drifted: {s:?}"
-            );
-            assert!(s.entries <= s.capacity, "shard {i} over budget: {s:?}");
-            total_entries += s.entries;
-        }
-        assert_eq!(total_entries, ns.prediction_cache_len());
+        assert_eq!(stats.len(), 1);
+        let s = &stats[0];
+        assert_eq!(s.inserts - s.evictions, s.entries as u64, "{s:?}");
+        assert_eq!(s.inserts, 8 * 1500, "{s:?}");
+        assert_eq!(s.entries, ns.prediction_cache_len());
         assert_eq!(ns.prediction_cache_len(), 8192);
     }
 
     #[test]
-    fn tiny_capacity_collapses_to_one_shard() {
-        // Shard splitting must never shrink the FIFO window below what a
-        // small capacity promises; exact global FIFO needs one shard.
-        let ns = tiny_framework();
-        ns.set_prediction_cache_capacity(4);
-        ns.set_prediction_cache_shards(16);
-        assert_eq!(ns.prediction_cache_shards(), 1);
-        ns.set_prediction_cache_capacity(1 << 20);
-        assert_eq!(ns.prediction_cache_shards(), 16);
-    }
-
-    #[test]
-    fn reshard_preserves_entries_and_fifo_order() {
-        let ns = tiny_framework();
-        let spec = catalog::gpu("V100").unwrap();
-        let ops: Vec<OpDesc> = (1..=8)
-            .map(|i| OpDesc::embedding(64 * i, 32, 500))
-            .collect();
-        for op in &ops {
-            ns.predict_op(op, &spec).unwrap();
-        }
-        assert_eq!(ns.prediction_cache_len(), 8);
-        // Changing the shard request rebuilds the layout without losing
-        // entries...
-        ns.set_prediction_cache_shards(8);
-        assert_eq!(ns.prediction_cache_len(), 8);
-        // ...and a subsequent shrink still evicts oldest-first, proving
-        // insertion sequence numbers survived the rebuild.
-        ns.set_prediction_cache_capacity(3);
-        assert_eq!(ns.prediction_cache_len(), 3);
-        let stats = ns.prediction_cache_shard_stats();
-        assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), 3);
-    }
-
-    #[test]
-    fn hammer_sharded_cache_bitwise_equals_uncached_64_threads() {
+    fn hammer_cache_bitwise_equals_uncached_64_threads() {
         // 64 threads race predict_op over a shared working set; every
-        // result must be bitwise identical to the uncached reference path
-        // (the old Mutex cache's guarantee, now per shard).
+        // result must be bitwise identical to the uncached reference path.
         let ns = tiny_framework();
         let spec = catalog::gpu("A100-80GB").unwrap();
         let ops: Vec<OpDesc> = (0..96)
@@ -1251,11 +1019,11 @@ mod tests {
         });
         assert_eq!(ns.prediction_cache_len(), ops.len());
         let stats = ns.prediction_cache_shard_stats();
-        for (i, s) in stats.iter().enumerate() {
+        for s in &stats {
             assert_eq!(
                 s.inserts - s.evictions,
                 s.entries as u64,
-                "shard {i} occupancy drifted after hammer: {s:?}"
+                "occupancy drifted after hammer: {s:?}"
             );
         }
     }

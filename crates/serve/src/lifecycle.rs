@@ -580,8 +580,8 @@ impl PredictService {
             return None;
         }
         let model = PredictService::canonical_model(&req.model).ok()?;
-        let spec = self.resolve_gpu(&req.gpu).ok()?;
-        let graph = self.graph(&model, req.batch, req.train, req.fused).ok()?;
+        let spec = PredictService::resolve_gpu(&req.gpu).ok()?;
+        let graph = PredictService::graph(&model, req.batch, req.train, req.fused).ok()?;
         let pred = candidate.predict_graph(&graph, &spec).ok()?;
         let candidate_ms = pred.total_s * 1e3;
         let served_ms = served.total_ms;

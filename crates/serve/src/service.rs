@@ -1,6 +1,6 @@
 //! The prediction service behind the HTTP routes: wire types for
-//! `/v1/predict`, name resolution shared with the CLI, a graph cache so
-//! repeated requests skip IR construction, and the batched entry point the
+//! `/v1/predict`, name resolution shared with the CLI, a response memo
+//! that answers repeated requests, and the batched entry point the
 //! micro-batching dispatcher calls.
 
 use crate::lifecycle::{Lifecycle, LifecycleConfig};
@@ -138,9 +138,6 @@ pub const MAX_REQUEST_BATCH: u64 = 4096;
 /// Upper bound on `model` / `gpu` name length, bytes.
 pub const MAX_NAME_BYTES: usize = 256;
 
-/// Cache key for built graphs: canonical model × batch × phase × fusion.
-type GraphKey = (String, u64, bool, bool);
-
 /// Bound on memoized serialized responses. The request space is tiny
 /// (model × GPU × batch × flags), so this is generous; FIFO eviction
 /// keeps worst-case memory bounded against adversarial request streams.
@@ -253,20 +250,20 @@ pub const MAX_GOSSIP_ENTRIES: usize = 1024;
 pub const MAX_GOSSIP_BYTES: usize = 768 * 1024;
 
 /// The long-lived prediction service: one trained [`NeuSight`] plus a
-/// graph cache, shared by every connection through the dispatcher.
+/// response memo, shared by every connection through the dispatcher.
 ///
-/// Amortization is the whole point of the server (the ROADMAP's
-/// "millions of users" shape): the predictor weights and tile database
-/// load once, built kernel graphs are reused across requests, and the
-/// bounded memo cache inside [`NeuSight`] carries warm per-kernel
-/// predictions from any request to all later ones.
+/// Amortization is the whole point of the server: the predictor weights
+/// and tile database load once, the bounded memo cache inside
+/// [`NeuSight`] carries warm per-kernel predictions from any request to
+/// all later ones, and the response memo answers a repeated request
+/// without building its graph. A memo miss builds its kernel graph
+/// afresh; graphs are cheap next to a cold predict, and keeping them
+/// would retain one per distinct request.
 pub struct PredictService {
     /// The serving model generation behind an epoch-tagged atomic swap
     /// (see [`ModelHandle`]); the degraded-tier roofline baseline rides
     /// inside each generation so it always matches the serving dtype.
     pub(crate) model: ModelHandle,
-    graphs: Mutex<HashMap<GraphKey, Arc<Graph>>>,
-    specs: Mutex<HashMap<String, GpuSpec>>,
     /// Trips after consecutive MLP-path failures; while open, requests go
     /// straight to the roofline fallback without touching the predictor.
     pub(crate) breaker: CircuitBreaker,
@@ -311,8 +308,6 @@ impl PredictService {
     ) -> PredictService {
         PredictService {
             model: ModelHandle::new(version, ns),
-            graphs: Mutex::new(HashMap::new()),
-            specs: Mutex::new(HashMap::new()),
             breaker: CircuitBreaker::new("serve.predict", config),
             responses: Mutex::new(ResponseCache::new()),
             forced_degraded: AtomicBool::new(false),
@@ -333,9 +328,12 @@ impl PredictService {
     }
 
     /// Atomically installs `ns` as the serving model under a fresh epoch
-    /// and purges every memoized response from older generations.
-    /// Returns the new generation.
+    /// and purges every memoized response from older generations. The
+    /// incoming model takes the serving generation's prediction-cache
+    /// capacity, so a bound set at boot survives reloads. Returns the
+    /// new generation.
     pub fn install_model(&self, version: &str, ns: NeuSight) -> Arc<ModelEpoch> {
+        ns.set_prediction_cache_capacity(self.model.current().prediction_cache_capacity());
         let next = self.model.swap(version, ns);
         let purged =
             neusight_guard::recover_poison(self.responses.lock()).purge_other_epochs(next.epoch());
@@ -433,49 +431,35 @@ impl PredictService {
         Ok(())
     }
 
-    /// Catalog spec for a request's `gpu` field (cached).
+    /// Catalog spec for a request's `gpu` field.
     ///
     /// # Errors
     ///
     /// 400 for names outside the catalog.
-    pub fn resolve_gpu(&self, name: &str) -> Result<GpuSpec, ServeError> {
-        let mut specs = neusight_guard::recover_poison(self.specs.lock());
-        if let Some(spec) = specs.get(name) {
-            return Ok(spec.clone());
-        }
-        let spec = catalog::gpu(name).map_err(|e| ServeError::bad_request(e.to_string()))?;
-        specs.insert(name.to_owned(), spec.clone());
-        Ok(spec)
+    pub fn resolve_gpu(name: &str) -> Result<GpuSpec, ServeError> {
+        catalog::gpu(name).map_err(|e| ServeError::bad_request(e.to_string()))
     }
 
-    /// The (cached) kernel graph for a resolved request.
+    /// The kernel graph for a resolved request, built afresh.
     ///
     /// # Errors
     ///
     /// 500 if graph construction fails for a name that resolved — a
     /// service bug, but one that must answer as JSON, not a panic.
     pub(crate) fn graph(
-        &self,
         canonical: &str,
         batch: u64,
         train: bool,
         fused: bool,
-    ) -> Result<Arc<Graph>, ServeError> {
-        let key = (canonical.to_owned(), batch, train, fused);
-        let mut graphs = neusight_guard::recover_poison(self.graphs.lock());
-        if let Some(graph) = graphs.get(&key) {
-            return Ok(Arc::clone(graph));
-        }
+    ) -> Result<Graph, ServeError> {
         let graph = workload_graph(canonical, batch, train).map_err(|e| {
             ServeError::internal(format!("graph construction failed for `{canonical}`: {e}"))
         })?;
-        let graph = Arc::new(if fused {
+        Ok(if fused {
             neusight_graph::fuse_graph(&graph)
         } else {
             graph
-        });
-        graphs.insert(key, Arc::clone(&graph));
-        Ok(graph)
+        })
     }
 
     /// Serves a whole micro-batch of predict requests with **one**
@@ -501,14 +485,14 @@ impl PredictService {
     ) -> Vec<Result<PredictResponse, ServeError>> {
         // Resolve every request first; unresolvable ones fail without
         // poisoning the rest of the batch.
-        type Resolved = (String, GpuSpec, Arc<Graph>);
+        type Resolved = (String, GpuSpec, Graph);
         let resolved: Vec<Result<Resolved, ServeError>> = requests
             .iter()
             .map(|req| {
                 Self::validate(req)?;
                 let model = Self::canonical_model(&req.model)?;
-                let spec = self.resolve_gpu(&req.gpu)?;
-                let graph = self.graph(&model, req.batch, req.train, req.fused)?;
+                let spec = Self::resolve_gpu(&req.gpu)?;
+                let graph = Self::graph(&model, req.batch, req.train, req.fused)?;
                 Ok((model, spec, graph))
             })
             .collect();
@@ -516,7 +500,7 @@ impl PredictService {
         let jobs: Vec<(&Graph, &GpuSpec)> = resolved
             .iter()
             .filter_map(|r| r.as_ref().ok())
-            .map(|(_, spec, graph)| (graph.as_ref(), spec))
+            .map(|(_, spec, graph)| (graph, spec))
             .collect();
 
         // MLP path, guarded by the circuit breaker. Any failure — or an
@@ -1191,6 +1175,69 @@ mod tests {
         let envelope = svc.export_cache(MAX_GOSSIP_ENTRIES);
         let fresh = PredictService::new(trained());
         assert_eq!(fresh.import_cache(&envelope).expect("import"), 1);
+    }
+
+    #[test]
+    fn install_model_keeps_the_serving_cache_capacity() {
+        // Clones of `trained()` share one cache; a serde round trip gives
+        // identical weights with a cache of their own.
+        let detached = || -> NeuSight {
+            serde_json::from_str(&serde_json::to_string(&trained()).unwrap()).unwrap()
+        };
+        let svc = PredictService::new(detached());
+        svc.neusight().set_prediction_cache_capacity(64);
+        let next = svc.install_model("v2", detached());
+        assert_eq!(next.prediction_cache_capacity(), 64);
+        assert_eq!(svc.neusight().prediction_cache_capacity(), 64);
+    }
+
+    fn memo_key(epoch: u64, batch: u64) -> MemoKey {
+        (epoch, req("gpt2", "V100", batch, false), false)
+    }
+
+    #[test]
+    fn response_cache_evicts_oldest_first_at_capacity() {
+        let mut memo = ResponseCache::new();
+        let body: Arc<str> = "{}".into();
+        let total = RESPONSE_CACHE_CAPACITY as u64 + 3;
+        for batch in 1..=total {
+            assert!(memo.insert(memo_key(1, batch), Arc::clone(&body)));
+        }
+        assert!(!memo.insert(memo_key(1, total), Arc::clone(&body)));
+        assert_eq!(memo.map.len(), RESPONSE_CACHE_CAPACITY);
+        assert_eq!(memo.order.len(), RESPONSE_CACHE_CAPACITY);
+        for batch in 1..=3 {
+            assert!(memo.get(&memo_key(1, batch)).is_none(), "batch {batch}");
+        }
+        assert!(memo.get(&memo_key(1, 4)).is_some());
+        assert!(memo.get(&memo_key(1, total)).is_some());
+    }
+
+    #[test]
+    fn response_cache_purge_keeps_map_and_order_in_step() {
+        let mut memo = ResponseCache::new();
+        let body: Arc<str> = "{}".into();
+        for batch in 1..=10 {
+            memo.insert(memo_key(1, batch), Arc::clone(&body));
+            memo.insert(memo_key(2, batch), Arc::clone(&body));
+        }
+        assert_eq!(memo.purge_other_epochs(2), 10);
+        assert_eq!(memo.map.len(), 10);
+        assert_eq!(memo.order.len(), 10);
+        assert!(memo
+            .order
+            .iter()
+            .all(|key| key.0 == 2 && memo.map.contains_key(key)));
+        // Refill to one past capacity: the one eviction is the oldest
+        // surviving entry, so no purged key lingered in `order`.
+        let refill = RESPONSE_CACHE_CAPACITY as u64 - 10 + 1;
+        for batch in 0..refill {
+            memo.insert(memo_key(3, batch), Arc::clone(&body));
+        }
+        assert_eq!(memo.map.len(), RESPONSE_CACHE_CAPACITY);
+        assert_eq!(memo.order.len(), RESPONSE_CACHE_CAPACITY);
+        assert!(memo.get(&memo_key(2, 1)).is_none());
+        assert!(memo.get(&memo_key(2, 2)).is_some());
     }
 
     /// Parses arbitrary JSON into the vendored Value tree.
